@@ -2,7 +2,8 @@
 # Tier-1 verify: docs link check, header self-containment check, configure,
 # build, run the ctest suite.
 #
-# Usage: scripts/ci.sh [--asan | --tsan | --quick-bench | --analyze]
+# Usage: scripts/ci.sh [--asan | --tsan | --quick-bench | --bench-smoke |
+#                       --analyze]
 #   --asan        build in a separate tree (build-asan/) with
 #                 -fsanitize=address,undefined and run the full suite under it
 #   --tsan        build in a separate tree (build-tsan/) with -fsanitize=thread
@@ -12,6 +13,10 @@
 #                 run bench/run_all --quick, and validate that every emitted
 #                 record parses as JSON (run_all itself exits non-zero when
 #                 any bench fails, so this also gates the bench invariants)
+#   --bench-smoke tiny-scale self-test of the repo's benchmark
+#                 (python3 pipebench/smoke_test.py): both BENCHMARK.json
+#                 workloads in both modes, every correctness gate; builds
+#                 its own tree in .bench_build/
 #   --analyze     the compile-time correctness gate (docs/STATIC_ANALYSIS.md):
 #                 1. scripts/pta_lint.py over src/ tests/ bench/ examples/
 #                    (determinism + parse-discipline rules, runs everywhere)
@@ -44,6 +49,9 @@ elif [[ "${1:-}" == "--tsan" ]]; then
 elif [[ "${1:-}" == "--quick-bench" ]]; then
   mode=quick-bench
   shift
+elif [[ "${1:-}" == "--bench-smoke" ]]; then
+  mode=bench-smoke
+  shift
 elif [[ "${1:-}" == "--analyze" ]]; then
   mode=analyze
   build_dir=build-analyze
@@ -51,8 +59,12 @@ elif [[ "${1:-}" == "--analyze" ]]; then
   shift
 fi
 if [[ $# -gt 0 ]]; then
-  echo "usage: $0 [--asan | --tsan | --quick-bench | --analyze]" >&2
+  echo "usage: $0 [--asan | --tsan | --quick-bench | --bench-smoke | --analyze]" >&2
   exit 2
+fi
+
+if [[ "$mode" == "bench-smoke" ]]; then
+  exec python3 pipebench/smoke_test.py
 fi
 
 scripts/check_doc_links.sh

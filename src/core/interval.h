@@ -40,9 +40,10 @@ struct Interval {
   }
 
   /// True if `other` starts exactly one chronon after this interval ends —
-  /// condition (2) of Def. 2 (adjacent tuples).
+  /// condition (2) of Def. 2 (adjacent tuples). Written without `end + 1`,
+  /// which would overflow at the maximal chronon.
   bool MeetsBefore(const Interval& other) const {
-    return end + 1 == other.begin;
+    return end < other.begin && end == other.begin - 1;
   }
 
   /// The smallest interval containing both inputs (used by the merge

@@ -1,7 +1,10 @@
 #include "core/ita.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
+#include <string>
 
 namespace pta {
 
@@ -31,37 +34,91 @@ Result<std::unique_ptr<ItaStream>> ItaStream::Create(
     agg_attr_indices.push_back(idx);
   }
 
-  return std::unique_ptr<ItaStream>(
-      new ItaStream(&rel, std::move(*group_indices), spec.aggregates,
-                    std::move(agg_attr_indices)));
+  std::unique_ptr<ItaStream> stream(new ItaStream(spec.aggregates));
+  PTA_RETURN_IF_ERROR(stream->Load(rel, *group_indices, agg_attr_indices));
+  return stream;
 }
 
-ItaStream::ItaStream(const TemporalRelation* rel,
-                     std::vector<size_t> group_indices,
-                     std::vector<AggregateSpec> aggregates,
-                     std::vector<int> aggregate_attr_indices)
-    : rel_(rel),
-      group_indices_(std::move(group_indices)),
-      aggregates_(std::move(aggregates)),
-      agg_attr_indices_(std::move(aggregate_attr_indices)) {
-  // Bucket tuple indices per group key; std::map gives the deterministic
-  // sorted group order the merging phase relies on.
-  std::map<GroupKey, std::vector<size_t>, decltype(&GroupKeyLess)> buckets(
-      &GroupKeyLess);
-  for (size_t i = 0; i < rel_->size(); ++i) {
-    buckets[rel_->tuple(i).Project(group_indices_)].push_back(i);
-  }
-  group_keys_.reserve(buckets.size());
-  group_tuples_.reserve(buckets.size());
-  for (auto& [key, idxs] : buckets) {
-    group_keys_.push_back(key);
-    group_tuples_.push_back(std::move(idxs));
-  }
+ItaStream::ItaStream(std::vector<AggregateSpec> aggregates)
+    : aggregates_(std::move(aggregates)) {
   aggregators_.reserve(aggregates_.size());
   for (const AggregateSpec& agg : aggregates_) {
     aggregators_.push_back(CreateAggregator(agg.kind));
   }
+  current_.resize(aggregates_.size());
   pending_.values.resize(aggregates_.size());
+}
+
+Status ItaStream::Load(const TemporalRelation& rel,
+                       const std::vector<size_t>& group_indices,
+                       const std::vector<int>& agg_attr_indices) {
+  const size_t n = rel.size();
+  const size_t p = aggregates_.size();
+
+  // Bucket by projecting into one reused key; a key is copied only when it
+  // opens a new group. std::map gives the deterministic sorted group order
+  // (and with it the dense group ids) the merging phase relies on.
+  std::map<GroupKey, uint32_t, decltype(&GroupKeyLess)> buckets(
+      &GroupKeyLess);
+  // Tuple i's group: its first-sight id, later remapped to the dense id.
+  std::vector<uint32_t> group_of(n);
+  GroupKey key(group_indices.size());
+  for (size_t i = 0; i < n; ++i) {
+    const Tuple& tuple = rel.tuple(i);
+    for (size_t k = 0; k < group_indices.size(); ++k) {
+      key[k] = tuple.value(group_indices[k]);
+    }
+    auto it = buckets.find(key);
+    if (it == buckets.end()) {
+      it = buckets.emplace(key, static_cast<uint32_t>(buckets.size())).first;
+    }
+    group_of[i] = it->second;
+  }
+
+  // Dense ids in key order, and each group's first row.
+  std::vector<uint32_t> dense(buckets.size());
+  group_keys_.reserve(buckets.size());
+  for (auto& [group_key, id] : buckets) {
+    dense[id] = static_cast<uint32_t>(group_keys_.size());
+    group_keys_.push_back(group_key);
+  }
+  group_begin_.assign(buckets.size() + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    group_of[i] = dense[group_of[i]];
+    ++group_begin_[group_of[i] + 1];
+  }
+  for (size_t g = 0; g < buckets.size(); ++g) {
+    group_begin_[g + 1] += group_begin_[g];
+  }
+
+  // Scatter intervals and aggregate inputs to their rows, validating each
+  // tuple in input order so the first offending one is reported.
+  std::vector<size_t> next_row(group_begin_.begin(), group_begin_.end() - 1);
+  intervals_.resize(n);
+  columns_.resize(n * p);
+  for (size_t i = 0; i < n; ++i) {
+    const Tuple& tuple = rel.tuple(i);
+    if (tuple.interval().end == std::numeric_limits<Chronon>::max()) {
+      return Status::InvalidArgument(
+          "ITA input tuple " + std::to_string(i) +
+          " ends at the maximal chronon; its end event is not representable");
+    }
+    const size_t row = next_row[group_of[i]]++;
+    intervals_[row] = tuple.interval();
+    double* out = columns_.data() + row * p;
+    for (size_t d = 0; d < p; ++d) {
+      const int attr = agg_attr_indices[d];
+      const double v = attr < 0 ? 0.0 : tuple.value(attr).ToDouble();
+      if (!std::isfinite(v)) {
+        return Status::InvalidArgument(
+            "aggregate attribute '" + aggregates_[d].attr + "' of tuple " +
+            std::to_string(i) + " is not finite (" +
+            tuple.value(attr).ToString() + ")");
+      }
+      out[d] = v;
+    }
+  }
+  return Status::Ok();
 }
 
 ItaStream::~ItaStream() = default;
@@ -74,24 +131,28 @@ std::vector<std::string> ItaStream::value_names() const {
 }
 
 bool ItaStream::StartNextGroup() {
-  if (current_group_ >= group_tuples_.size()) return false;
+  if (current_group_ + 1 >= group_begin_.size()) return false;
 
-  const std::vector<size_t>& tuples = group_tuples_[current_group_];
+  const size_t begin = group_begin_[current_group_];
+  const size_t end = group_begin_[current_group_ + 1];
   events_.clear();
-  events_.reserve(tuples.size() * 2);
-  for (size_t idx : tuples) {
-    const Interval& t = rel_->tuple(idx).interval();
-    events_.push_back({t.begin, /*is_start=*/true, idx});
-    events_.push_back({t.end + 1, /*is_start=*/false, idx});
+  events_.reserve((end - begin) * 2);
+  for (size_t row = begin; row < end; ++row) {
+    const Interval& t = intervals_[row];
+    events_.push_back({t.begin, (row << 1) | 1});
+    events_.push_back({t.end + 1, row << 1});
   }
   // End events sort before start events at the same instant so that an
   // aggregator never simultaneously holds a tuple that ended at t-1 and one
   // that starts at t (their order is otherwise irrelevant: segments are
-  // emitted before any event at the boundary applies).
+  // emitted before any event at the boundary applies). Same-instant events
+  // of one kind keep whatever order the sort leaves them in, and running
+  // sums depend on that order — so neither the initial sequence nor the
+  // comparator may change without re-pinning the sweep's output bits.
   std::sort(events_.begin(), events_.end(),
             [](const TupleEvent& a, const TupleEvent& b) {
               if (a.time != b.time) return a.time < b.time;
-              return a.is_start < b.is_start;
+              return a.is_start() < b.is_start();
             });
   event_pos_ = 0;
   active_count_ = 0;
@@ -121,41 +182,38 @@ void ItaStream::StepGroup(Segment* flushed, bool* has_flushed) {
 
   // Emit the elementary interval [boundary_, t-1] if tuples are active.
   if (active_count_ > 0 && boundary_ < t) {
-    Segment cand;
-    cand.group = static_cast<int32_t>(current_group_);
-    cand.t = Interval(boundary_, t - 1);
-    cand.values.resize(aggregators_.size());
     for (size_t d = 0; d < aggregators_.size(); ++d) {
-      cand.values[d] = aggregators_[d]->Current();
+      current_[d] = aggregators_[d]->Current();
     }
+    const Interval elementary(boundary_, t - 1);
     // Coalesce value-equivalent adjacent results (Def. 1's final step).
-    if (pending_valid_ && pending_.t.MeetsBefore(cand.t) &&
-        pending_.values == cand.values) {
-      pending_.t.end = cand.t.end;
-    } else if (pending_valid_) {
-      *flushed = pending_;
-      *has_flushed = true;
-      pending_ = std::move(cand);
+    if (pending_valid_ && pending_.t.MeetsBefore(elementary) &&
+        pending_.values == current_) {
+      pending_.t.end = elementary.end;
     } else {
-      pending_ = std::move(cand);
+      if (pending_valid_) {
+        *flushed = pending_;
+        *has_flushed = true;
+      }
+      pending_.group = static_cast<int32_t>(current_group_);
+      pending_.t = elementary;
+      pending_.values = current_;
       pending_valid_ = true;
     }
   }
 
   // Apply every event at instant t.
+  const size_t p = aggregators_.size();
   while (event_pos_ < events_.size() && events_[event_pos_].time == t) {
     const TupleEvent& ev = events_[event_pos_];
-    const Tuple& tuple = rel_->tuple(ev.tuple_idx);
-    for (size_t d = 0; d < aggregators_.size(); ++d) {
-      const int attr = agg_attr_indices_[d];
-      const double v = attr < 0 ? 0.0 : tuple.value(attr).ToDouble();
-      if (ev.is_start) {
-        aggregators_[d]->Add(v);
-      } else {
-        aggregators_[d]->Remove(v);
-      }
+    const double* v = columns_.data() + (ev.tag >> 1) * p;
+    if (ev.is_start()) {
+      for (size_t d = 0; d < p; ++d) aggregators_[d]->Add(v[d]);
+      ++active_count_;
+    } else {
+      for (size_t d = 0; d < p; ++d) aggregators_[d]->Remove(v[d]);
+      --active_count_;
     }
-    active_count_ += ev.is_start ? 1 : -1;
     ++event_pos_;
   }
   boundary_ = t;

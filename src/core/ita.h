@@ -34,14 +34,24 @@ struct ItaSpec {
 
 /// \brief Streaming ITA evaluation.
 ///
-/// Construction validates the spec against the relation's schema and buckets
-/// the input per group; `Next()` then runs the per-group endpoint sweep
-/// lazily, emitting each coalesced result tuple as soon as it is final.
-/// Groups are emitted in their deterministic sorted order, chronologically
-/// within each group, as the merging phase requires (Sec. 5.1).
+/// Construction validates the spec against the relation's schema, buckets
+/// the input per group, and copies every aggregate input once into a
+/// contiguous group-major column block of doubles (row r of group g holds
+/// its p inputs at [r * p, (r + 1) * p); COUNT reads 0). The sweep then
+/// never touches the relation again, so the relation only needs to live
+/// through Create(). `Next()` runs the per-group endpoint sweep lazily,
+/// emitting each coalesced result tuple as soon as it is final. Groups are
+/// emitted in their deterministic sorted order, chronologically within
+/// each group, as the merging phase requires (Sec. 5.1).
+///
+/// Create() rejects, with an InvalidArgument naming the tuple index:
+///  * a non-finite (NaN or infinite) aggregate input, naming the attribute
+///    — MIN/MAX could not retire a NaN and running sums would stay
+///    poisoned after the tuple ends;
+///  * a tuple ending at the maximal chronon, whose end event `end + 1`
+///    is not representable.
 class ItaStream : public SegmentSource {
  public:
-  /// The relation must outlive the stream.
   [[nodiscard]] static Result<std::unique_ptr<ItaStream>> Create(const TemporalRelation& rel,
                                                    const ItaSpec& spec);
   ~ItaStream() override;
@@ -55,44 +65,41 @@ class ItaStream : public SegmentSource {
   std::vector<std::string> value_names() const;
 
  private:
-  struct Event {
-    Chronon time;
-    bool is_start;
-    double value = 0.0;  // contribution per aggregate is recomputed from this
-  };
+  explicit ItaStream(std::vector<AggregateSpec> aggregates);
 
-  ItaStream(const TemporalRelation* rel, std::vector<size_t> group_indices,
-            std::vector<AggregateSpec> aggregates,
-            std::vector<int> aggregate_attr_indices);
-
+  /// Buckets and copies `rel` into the column block; fails on the inputs
+  /// the class comment lists.
+  [[nodiscard]] Status Load(const TemporalRelation& rel,
+                            const std::vector<size_t>& group_indices,
+                            const std::vector<int>& agg_attr_indices);
   /// Loads the next group's events; false when all groups are done.
   bool StartNextGroup();
   /// Processes events until one segment is flushed or the group ends.
   void StepGroup(Segment* flushed, bool* has_flushed);
 
-  const TemporalRelation* rel_;
-  std::vector<size_t> group_indices_;
   std::vector<AggregateSpec> aggregates_;
-  std::vector<int> agg_attr_indices_;  // -1 for count
 
+  // The input, group-major: group g owns rows [group_begin_[g],
+  // group_begin_[g + 1]); a row keeps the relative tuple order of its group.
   std::vector<GroupKey> group_keys_;
-  std::vector<std::vector<size_t>> group_tuples_;  // tuple idx per group
+  std::vector<size_t> group_begin_;
+  std::vector<Interval> intervals_;  // per row
+  std::vector<double> columns_;      // rows * p aggregate inputs
   size_t current_group_ = 0;
   bool group_active_ = false;
 
-  // Per-group sweep state. events_[i] holds the boundary events of the
-  // current group for aggregate dimension handling; one shared time-ordered
-  // list with per-tuple values per dimension.
+  // Per-group sweep state: the group's boundary events in time order.
   struct TupleEvent {
     Chronon time;
-    bool is_start;
-    size_t tuple_idx;
+    uint64_t tag;  // row << 1 | is_start
+    bool is_start() const { return (tag & 1) != 0; }
   };
   std::vector<TupleEvent> events_;
   size_t event_pos_ = 0;
   int64_t active_count_ = 0;
   Chronon boundary_ = 0;
   std::vector<std::unique_ptr<Aggregator>> aggregators_;
+  std::vector<double> current_;  // the elementary interval's values
 
   // Coalescing buffer.
   bool pending_valid_ = false;

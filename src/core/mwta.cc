@@ -36,28 +36,11 @@ Result<std::unique_ptr<SegmentSource>> MwtaStream(const TemporalRelation& rel,
                                                   const MwtaWindow& window) {
   auto extended = ExtendTimestamps(rel, window);
   if (!extended.ok()) return extended.status();
-  // The stream must reference the relation it owns, so build it in place.
-  auto owned = std::make_unique<TemporalRelation>(std::move(*extended));
-  auto stream = ItaStream::Create(*owned, spec);
+  // ItaStream copies everything it sweeps during Create(), so the extended
+  // relation need not outlive it.
+  auto stream = ItaStream::Create(*extended, spec);
   if (!stream.ok()) return stream.status();
-
-  // Keep both alive together.
-  class Holder : public SegmentSource {
-   public:
-    Holder(std::unique_ptr<TemporalRelation> rel,
-           std::unique_ptr<ItaStream> stream)
-        : rel_(std::move(rel)), stream_(std::move(stream)) {}
-    size_t num_aggregates() const override {
-      return stream_->num_aggregates();
-    }
-    bool Next(Segment* out) override { return stream_->Next(out); }
-
-   private:
-    std::unique_ptr<TemporalRelation> rel_;
-    std::unique_ptr<ItaStream> stream_;
-  };
-  return std::unique_ptr<SegmentSource>(
-      new Holder(std::move(owned), std::move(*stream)));
+  return std::unique_ptr<SegmentSource>(std::move(*stream));
 }
 
 }  // namespace pta

@@ -31,11 +31,10 @@ struct MwtaWindow {
 [[nodiscard]] Result<SequentialRelation> Mwta(const TemporalRelation& rel,
                                 const ItaSpec& spec, const MwtaWindow& window);
 
-/// Streaming MWTA; the relation must outlive the stream. The returned
-/// stream is an ordinary SegmentSource, so gPTAc / gPTAε consume it
-/// directly (PTA over moving-window aggregates).
-///
-/// Note: the stream owns an extended copy of the input tuples.
+/// Streaming MWTA. The returned stream is an ordinary SegmentSource, so
+/// gPTAc / gPTAε consume it directly (PTA over moving-window aggregates).
+/// It holds its own copy of the window-extended input, so `rel` need not
+/// outlive it.
 [[nodiscard]] Result<std::unique_ptr<SegmentSource>> MwtaStream(const TemporalRelation& rel,
                                                   const ItaSpec& spec,
                                                   const MwtaWindow& window);

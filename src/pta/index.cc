@@ -26,10 +26,11 @@ struct LoggedMerge {
   // index * p .. (index + 1) * p.
 };
 
-// The full GMS run of one contiguous, group-aligned row range [begin, end):
-// every merge until only non-mergeable pairs remain, in chunk-local GMS
-// order. Because adjacency never crosses a group and chunks never split a
-// group, chunk-local keys and merge sub-orders are exactly the global ones.
+// The full GMS run of one contiguous row range [begin, end) whose edges
+// no merge can cross (see ChunkRanges): every merge until only
+// non-mergeable pairs remain, in chunk-local GMS order. Because no merge
+// chain crosses a chunk edge, chunk-local keys and merge sub-orders are
+// exactly the global ones.
 struct ChunkLog {
   std::vector<LoggedMerge> merges;
   std::vector<double> values;  // merges.size() * p payload copies
@@ -64,11 +65,17 @@ void RunChunk(const SequentialRelation& rel, size_t begin, size_t end,
   }
 }
 
-// Contiguous group-aligned chunk ranges of roughly equal row counts. The
-// boundaries never affect the result (the gather re-serializes the global
-// order); they only balance the build across the pool.
+// Contiguous independent chunk ranges of roughly equal row counts. A
+// chunk may start at row i only if row i can never fold into row i - 1:
+// the group changes, or (without gap merging) the two leave a temporal
+// gap. Merging never changes either end of such a pair — a merged node
+// keeps its leftmost begin and rightmost end — so the pair's key stays
+// infinite for the whole run, exactly as at a chunk edge. The boundaries
+// never affect the result (the gather re-serializes the global order);
+// they only balance the build across the pool.
 std::vector<std::pair<size_t, size_t>> ChunkRanges(
-    const SequentialRelation& rel, size_t target_chunks) {
+    const SequentialRelation& rel, bool merge_across_gaps,
+    size_t target_chunks) {
   std::vector<std::pair<size_t, size_t>> ranges;
   const size_t n = rel.size();
   if (n == 0) return ranges;
@@ -76,7 +83,12 @@ std::vector<std::pair<size_t, size_t>> ChunkRanges(
                                                       1, target_chunks));
   size_t begin = 0;
   for (size_t i = 1; i < n; ++i) {
-    if (rel.group(i) != rel.group(i - 1) && i - begin >= target_rows) {
+    if (i - begin < target_rows) continue;
+    const bool independent =
+        rel.group(i) != rel.group(i - 1) ||
+        (!merge_across_gaps &&
+         !rel.interval(i - 1).MeetsBefore(rel.interval(i)));
+    if (independent) {
       ranges.push_back({begin, i});
       begin = i;
     }
@@ -123,18 +135,19 @@ Result<PtaIndex> PtaIndex::Build(SequentialRelation input,
     return index;
   }
 
-  // ---- scatter: one recorded GMS run per group-aligned chunk ------------
+  // ---- scatter: one recorded GMS run per independent chunk --------------
   const size_t threads = options.num_threads == 0
                              ? ThreadPool::DefaultThreadCount()
                              : options.num_threads;
-  // A few chunks per thread keeps the pool busy when group sizes are
-  // skewed; chunking never changes the result. A single-threaded build
-  // uses one chunk and records straight into the index (no pool, no log,
-  // one payload copy) — the bench gates build cost at <= 1.3x one greedy
-  // run, and spawning workers or double-buffering would eat that margin.
+  // A few chunks per thread keeps the pool busy when group or gap-run
+  // sizes are skewed; chunking never changes the result. A single-threaded
+  // build uses one chunk and records straight into the index (no pool, no
+  // log, one payload copy) — the bench gates build cost at <= 1.3x one
+  // greedy run, and spawning workers or double-buffering would eat that
+  // margin.
   const auto ranges =
       threads == 1 ? std::vector<std::pair<size_t, size_t>>{{0, n}}
-                   : ChunkRanges(rel, threads * 4);
+                   : ChunkRanges(rel, options.merge_across_gaps, threads * 4);
 
   // dnode[row] = dendrogram node currently carrying the heap node whose
   // global id is row + 1 (survivors keep their id, so the slot stays live).

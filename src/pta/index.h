@@ -28,12 +28,13 @@
 // delta = kDeltaInfinity (the Fig. 18(a) S1 workload) — and stay within
 // the documented lookahead deviation otherwise (see greedy_test.cc).
 //
-// Construction is group-sharded on util/thread_pool: adjacency never
-// crosses an aggregation group, so contiguous group-aligned chunks run
-// independent recorders and a deterministic k-way gather — ordered by
-// (key, sequence id), exactly the heap's tie-break — reassembles the
-// global GMS order. The result is a pure function of the input: thread
-// count only changes the wall clock.
+// Construction is sharded on util/thread_pool into independent (group- or
+// gap-aligned) chunks: adjacency never crosses an aggregation group, and
+// without gap merging never crosses a temporal gap either, so a merge
+// chain never spans two chunks. The chunks run independent recorders and
+// a deterministic k-way gather — ordered by (key, sequence id), exactly
+// the heap's tie-break — reassembles the global GMS order. The result is a
+// pure function of the input: thread count only changes the wall clock.
 //
 // The planner exposes the index as Engine::kIndexed, re-binds budgets with
 // PtaQuery::WithBudget, and caches built indexes by the budget-stripped
@@ -69,7 +70,8 @@ struct PtaIndexOptions {
 
 /// \brief Observability of one index construction.
 struct PtaIndexBuildStats {
-  /// Group-aligned chunks the input was split into.
+  /// Independent (group- or gap-aligned) chunks the input was split into;
+  /// 1 for a single-threaded build.
   size_t chunks = 0;
   /// Threads the pool actually ran with.
   size_t threads_used = 0;

@@ -2,7 +2,7 @@
 # compare its stdout against the golden file byte-for-byte. The same query
 # is repeated over two mangled variants of the fixture — CRLF line endings
 # and a missing trailing newline on the last row — which must produce the
-# identical golden output (input hardening, PR 5).
+# identical golden output (input hardening).
 # Expects -DTOOL=, -DFIXTURE_DIR=, -DOUT_DIR=.
 
 function(run_tool input output)
@@ -206,3 +206,27 @@ if(NOT tool_rc EQUAL 1)
           "missing index file: expected exit code 1, got ${tool_rc}:"
           " ${tool_stderr}")
 endif()
+
+# 8. Non-finite aggregate inputs are rejected, not propagated: one NaN
+# salary must fail the run with a diagnostic naming the attribute and the
+# tuple, instead of printing poisoned averages and maxima.
+string(REPLACE ",400,3,6" ",nan,3,6" nan_text "${lf_text}")
+file(WRITE ${OUT_DIR}/proj_nan.csv "${nan_text}")
+foreach(agg avg:Sal:AvgSal max:Sal:MaxSal)
+  execute_process(
+    COMMAND ${TOOL}
+            --input ${OUT_DIR}/proj_nan.csv
+            --schema Empl:string,Proj:string,Sal:double
+            --group-by Proj --agg ${agg} --size 3
+    OUTPUT_VARIABLE tool_stdout
+    ERROR_VARIABLE tool_stderr
+    RESULT_VARIABLE tool_rc
+  )
+  if(tool_rc EQUAL 0)
+    message(FATAL_ERROR "NaN cell (${agg}): expected a non-zero exit, got 0:"
+                        "\n${tool_stdout}")
+  endif()
+  if(NOT tool_stderr MATCHES "'Sal' of tuple 1 is not finite")
+    message(FATAL_ERROR "NaN cell (${agg}): unexpected stderr:\n${tool_stderr}")
+  endif()
+endforeach()

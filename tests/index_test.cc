@@ -6,7 +6,8 @@
 //    workload) the cuts also equal GreedyReduceToSize/-ToError with
 //    delta = infinity, budget by budget;
 //  * MultiBudgetCut as one refinement walk equal to individual cuts;
-//  * build determinism across thread counts and chunkings;
+//  * build determinism across thread counts and chunkings, including
+//    single groups split at their temporal gaps;
 //  * boundary behaviour matching the reducers (c = 0, c < cmin, c >= n,
 //    empty input, eps range).
 
@@ -14,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
 #include <vector>
 
 #include "datasets/synthetic.h"
@@ -192,26 +195,92 @@ TEST(PtaIndexTest, MultiBudgetCutValidatesItsLadder) {
 
 // ---- determinism and construction ---------------------------------------
 
-TEST(PtaIndexTest, BuildIsDeterministicAcrossThreadCounts) {
-  const SequentialRelation rel = RandomSequential(200, 2, 8, 0.1, 59);
-  PtaIndexBuildStats stats1, stats4;
-  PtaIndexOptions one;
-  one.num_threads = 1;
-  PtaIndexOptions four;
-  four.num_threads = 4;
-  const PtaIndex a = BuildOrDie(rel, one, &stats1);
-  const PtaIndex b = BuildOrDie(rel, four, &stats4);
-  EXPECT_EQ(stats1.merges, stats4.merges);
-  EXPECT_GE(stats1.chunks, 1u);
-  for (size_t c = a.cmin(); c <= rel.size(); c += 17) {
-    auto ca = a.CutToSize(c);
-    auto cb = b.CutToSize(c);
-    ASSERT_TRUE(ca.ok());
-    ASSERT_TRUE(cb.ok());
-    ExpectByteIdentical(ca->relation, cb->relation);
-    EXPECT_EQ(ca->error, cb->error);
+// The same relation with every value floored to a multiple of 25: runs of
+// equal values make zero-cost merges, so (key, id) ties are everywhere and
+// the gather's tie-break decides the order.
+SequentialRelation Quantized(const SequentialRelation& rel) {
+  SequentialRelation out(rel.num_aggregates());
+  std::vector<double> row(rel.num_aggregates());
+  for (size_t i = 0; i < rel.size(); ++i) {
+    for (size_t d = 0; d < row.size(); ++d) {
+      row[d] = 25.0 * std::floor(rel.value(i, d) / 25.0);
+    }
+    out.Append(rel.group(i), rel.interval(i), row.data());
   }
-  EXPECT_EQ(a.max_error(), b.max_error());
+  out.SetGroupKeys(rel.group_keys());
+  return out;
+}
+
+TEST(PtaIndexTest, BuildIsDeterministicAcrossThreadCounts) {
+  struct Case {
+    const char* name;
+    SequentialRelation rel;
+    PtaIndexOptions options;
+    // Whether a multi-threaded build splits the input into several chunks.
+    bool splits;
+  };
+  PtaIndexOptions gap_merging;
+  gap_merging.merge_across_gaps = true;
+  PtaIndexOptions weighted;
+  weighted.weights = {0.5, 3.0};
+  const SequentialRelation gapped = RandomSequential(400, 2, 1, 0.1, 59);
+  std::vector<Case> cases;
+  // Gaps are the only independent split points of a single group.
+  cases.push_back({"single group with gaps", gapped, {}, true});
+  cases.push_back({"tie-heavy single group with gaps", Quantized(gapped), {},
+                   true});
+  cases.push_back({"gap-free single group",
+                   RandomSequential(400, 2, 1, 0.0, 61), {}, false});
+  // Gap merging makes every same-group pair mergeable: no split point.
+  cases.push_back({"single group, merge_across_gaps", gapped, gap_merging,
+                   false});
+  cases.push_back({"weighted multi-group",
+                   RandomSequential(300, 2, 8, 0.1, 67), weighted, true});
+
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(tc.name);
+    const SequentialRelation& rel = tc.rel;
+    GreedyOptions greedy;
+    greedy.weights = tc.options.weights;
+    greedy.merge_across_gaps = tc.options.merge_across_gaps;
+    PtaIndexOptions one = tc.options;
+    one.num_threads = 1;
+    const PtaIndex serial = BuildOrDie(rel, one);
+    for (const size_t threads : {1, 2, 3, 4, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      PtaIndexOptions options = tc.options;
+      options.num_threads = threads;
+      PtaIndexBuildStats stats;
+      const PtaIndex index = BuildOrDie(rel, options, &stats);
+      EXPECT_EQ(stats.merges, serial.merges());
+      if (threads > 1 && tc.splits) {
+        EXPECT_GT(stats.chunks, 1u);
+      } else {
+        EXPECT_EQ(stats.chunks, 1u);
+      }
+      for (size_t c = index.cmin(); c <= rel.size(); ++c) {
+        auto cut = index.CutToSize(c);
+        auto base = serial.CutToSize(c);
+        auto gms = GmsReduceToSize(rel, c, greedy);
+        ASSERT_TRUE(cut.ok() && base.ok() && gms.ok()) << "c=" << c;
+        ExpectByteIdentical(cut->relation, gms->relation);
+        ExpectByteIdentical(cut->relation, base->relation);
+        EXPECT_EQ(cut->error, gms->error) << "c=" << c;
+        EXPECT_EQ(cut->error, base->error) << "c=" << c;
+      }
+      for (const double eps : {0.0, 0.001, 0.05, 0.2, 0.5, 0.9, 1.0}) {
+        auto cut = index.CutToError(eps);
+        auto base = serial.CutToError(eps);
+        auto gms = GmsReduceToError(rel, eps, greedy);
+        ASSERT_TRUE(cut.ok() && base.ok() && gms.ok()) << "eps=" << eps;
+        ExpectByteIdentical(cut->relation, gms->relation);
+        ExpectByteIdentical(cut->relation, base->relation);
+        EXPECT_EQ(cut->error, gms->error) << "eps=" << eps;
+        EXPECT_EQ(cut->error, base->error) << "eps=" << eps;
+      }
+      EXPECT_EQ(index.max_error(), serial.max_error());
+    }
+  }
 }
 
 TEST(PtaIndexTest, CumulativeCurveIsMonotoneAndComplete) {

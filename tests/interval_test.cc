@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace pta {
 namespace {
 
@@ -34,6 +36,18 @@ TEST(IntervalTest, MeetsBeforeMatchesDef2Adjacency) {
   EXPECT_FALSE(Interval(1, 4).MeetsBefore(Interval(6, 8)));  // gap
   EXPECT_FALSE(Interval(1, 4).MeetsBefore(Interval(4, 8)));  // overlap
   EXPECT_FALSE(Interval(5, 8).MeetsBefore(Interval(1, 4)));  // wrong order
+}
+
+TEST(IntervalTest, MeetsBeforeAtTheChrononExtremes) {
+  // No `end + 1` is computed, so the maximal chronon neither overflows
+  // (UBSan would flag it) nor wraps around to meet the minimal one.
+  constexpr Chronon kMin = std::numeric_limits<Chronon>::min();
+  constexpr Chronon kMax = std::numeric_limits<Chronon>::max();
+  EXPECT_FALSE(Interval(kMax - 3, kMax).MeetsBefore(Interval(kMin, 0)));
+  EXPECT_FALSE(Interval(kMax - 3, kMax).MeetsBefore(Interval(kMax, kMax)));
+  EXPECT_TRUE(Interval(kMax - 3, kMax - 1).MeetsBefore(Interval(kMax, kMax)));
+  EXPECT_TRUE(Interval(kMin, kMin).MeetsBefore(Interval(kMin + 1, 5)));
+  EXPECT_FALSE(Interval(kMin, 0).MeetsBefore(Interval(kMin, kMin)));
 }
 
 TEST(IntervalTest, HullSpansBothInputs) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
+
 #include "test_util.h"
 
 namespace pta {
@@ -153,6 +159,134 @@ TEST(ItaTest, EmptyRelationYieldsEmptyResult) {
   auto result = Ita(rel, {{}, {Avg("V", "A")}});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
+}
+
+// ---- the sweep's bits, pinned ------------------------------------------
+
+// A tie-heavy relation: 600 tuples over 12 (string, int) groups, begins in
+// [0, 40] and durations of 1-3 chronons, so most instants carry several
+// simultaneous Add/Remove events. Running sums then depend on the exact
+// event order inside each instant.
+TemporalRelation TieHeavyRelation() {
+  TemporalRelation rel{Schema({{"Site", ValueType::kString},
+                               {"Rack", ValueType::kInt64},
+                               {"Load", ValueType::kInt64},
+                               {"Temp", ValueType::kDouble}})};
+  const char* sites[] = {"north", "south", "east"};
+  Random rng(2024);
+  for (int i = 0; i < 600; ++i) {
+    const Chronon b = rng.UniformInt(0, 40);
+    const Chronon e = b + rng.UniformInt(0, 2);
+    PTA_CHECK(rel.Insert({Value(sites[rng.UniformInt(0, 2)]),
+                          Value(rng.UniformInt(0, 3)),
+                          Value(rng.UniformInt(-1000, 1000)),
+                          Value(rng.Uniform(-50.0, 50.0))},
+                         Interval(b, e))
+                  .ok());
+  }
+  return rel;
+}
+
+// FNV-1a over the group keys, every interval, and every value's bits.
+uint64_t ItaDigest(const SequentialRelation& rel) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const void* data, size_t len) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < len; ++i) {
+      h ^= bytes[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const GroupKey& key : rel.group_keys()) {
+    const std::string text = GroupKeyToString(key);
+    mix(text.data(), text.size());
+  }
+  for (size_t i = 0; i < rel.size(); ++i) {
+    const int32_t g = rel.group(i);
+    mix(&g, sizeof(g));
+    mix(&rel.interval(i).begin, sizeof(Chronon));
+    mix(&rel.interval(i).end, sizeof(Chronon));
+    for (size_t d = 0; d < rel.num_aggregates(); ++d) {
+      const double v = rel.value(i, d);
+      uint64_t bits;
+      std::memcpy(&bits, &v, sizeof(bits));
+      mix(&bits, sizeof(bits));
+    }
+  }
+  return h;
+}
+
+TEST(ItaTest, TieHeavySweepBitsArePinned) {
+  const TemporalRelation rel = TieHeavyRelation();
+  const ItaSpec spec{{"Site", "Rack"},
+                     {Avg("Temp", "AvgTemp"), Sum("Load", "SumLoad"),
+                      Count("N"), Min("Load", "MinLoad"),
+                      Max("Temp", "MaxTemp"), Sum("Temp", "SumTemp"),
+                      Avg("Load", "AvgLoad"), Min("Temp", "MinTemp"),
+                      Max("Load", "MaxLoad")}};
+  auto result = Ita(rel, spec);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->group_keys().size(), 12u);
+  EXPECT_TRUE(result->Validate().ok());
+  // The pinned output bits: any change to the same-instant event order or
+  // to the running-sum arithmetic moves them.
+  EXPECT_EQ(result->size(), 442u);
+  EXPECT_EQ(ItaDigest(*result), 9135676473886950055ULL);
+}
+
+// ---- hostile inputs: rejected with a located InvalidArgument -----------
+
+TemporalRelation OneDoubleColumn(double bad) {
+  TemporalRelation rel{Schema({{"G", ValueType::kInt64},
+                               {"V", ValueType::kDouble}})};
+  PTA_CHECK(rel.Insert({Value(0), Value(1.0)}, Interval(0, 4)).ok());
+  PTA_CHECK(rel.Insert({Value(0), Value(bad)}, Interval(2, 6)).ok());
+  PTA_CHECK(rel.Insert({Value(1), Value(3.0)}, Interval(1, 1)).ok());
+  return rel;
+}
+
+TEST(ItaTest, RejectsNonFiniteAggregateInputs) {
+  const double bads[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  for (const double bad : bads) {
+    const TemporalRelation rel = OneDoubleColumn(bad);
+    for (const AggregateSpec& agg : {Avg("V", "A"), Max("V", "M")}) {
+      auto stream = ItaStream::Create(rel, {{"G"}, {agg}});
+      ASSERT_FALSE(stream.ok()) << bad << " " << AggKindName(agg.kind);
+      EXPECT_EQ(stream.status().code(), StatusCode::kInvalidArgument);
+      const std::string& msg = stream.status().message();
+      EXPECT_NE(msg.find("'V'"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("tuple 1"), std::string::npos) << msg;
+      EXPECT_FALSE(Ita(rel, {{"G"}, {agg}}).ok());
+    }
+  }
+  // COUNT reads no attribute, so it is unaffected by the bad cell.
+  auto count = Ita(OneDoubleColumn(std::nan("")), {{"G"}, {Count("N")}});
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->size(), 4u);
+}
+
+TEST(ItaTest, RejectsTuplesEndingAtTheMaximalChronon) {
+  constexpr Chronon kMax = std::numeric_limits<Chronon>::max();
+  TemporalRelation rel{Schema({{"V", ValueType::kDouble}})};
+  ASSERT_TRUE(rel.Insert({Value(1.0)}, Interval(0, 5)).ok());
+  ASSERT_TRUE(rel.Insert({Value(2.0)}, Interval(kMax - 3, kMax)).ok());
+  auto stream = ItaStream::Create(rel, {{}, {Count("N")}});
+  ASSERT_FALSE(stream.ok());
+  EXPECT_EQ(stream.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(stream.status().message().find("tuple 1"), std::string::npos)
+      << stream.status().message();
+
+  // One chronon short of the maximum is still a valid end.
+  TemporalRelation edge{Schema({{"V", ValueType::kDouble}})};
+  ASSERT_TRUE(edge.Insert({Value(1.0)}, Interval(kMax - 9, kMax - 1)).ok());
+  ASSERT_TRUE(edge.Insert({Value(2.0)}, Interval(kMax - 4, kMax - 1)).ok());
+  auto result = Ita(edge, {{}, {Sum("V", "S")}});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->size(), 2u);
+  EXPECT_EQ(result->interval(1), Interval(kMax - 4, kMax - 1));
+  EXPECT_EQ(result->value(1, 0), 3.0);
 }
 
 }  // namespace
