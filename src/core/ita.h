@@ -15,6 +15,7 @@
 #ifndef PTA_CORE_ITA_H_
 #define PTA_CORE_ITA_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,6 +26,8 @@
 #include "util/status.h"
 
 namespace pta {
+
+class ThreadPool;
 
 /// \brief An ITA query: grouping attributes A and aggregate functions F.
 struct ItaSpec {
@@ -37,24 +40,54 @@ struct ItaSpec {
 /// Construction validates the spec against the relation's schema, buckets
 /// the input per group, and copies every aggregate input once into a
 /// contiguous group-major column block of doubles (row r of group g holds
-/// its p inputs at [r * p, (r + 1) * p); COUNT reads 0). The sweep then
-/// never touches the relation again, so the relation only needs to live
-/// through Create(). `Next()` runs the per-group endpoint sweep lazily,
-/// emitting each coalesced result tuple as soon as it is final. Groups are
-/// emitted in their deterministic sorted order, chronologically within
-/// each group, as the merging phase requires (Sec. 5.1).
+/// its p inputs at [r * p, (r + 1) * p); COUNT reads 0). It then builds each
+/// group's boundary events and sorts them. The sweep never touches the
+/// relation again, so the relation only needs to live through Create().
+/// Groups are emitted in their deterministic sorted order (the dense group
+/// ids), chronologically within each group, as the merging phase requires
+/// (Sec. 5.1).
+///
+/// Units. The sorted events are cut into units that sweep independently.
+/// A unit ends at a group end, or right after an instant t at which no
+/// tuple is active once all of t's events are applied. At such a point the
+/// aggregators are bitwise in their Reset() state (a running sum is zeroed
+/// when its count reaches 0, a MIN/MAX multiset is empty), and the next
+/// result interval starts at least one chronon after the last one ended, so
+/// coalescing cannot cross the cut either. A cut is taken at the first such
+/// point at or past each multiple of a constant event count, so the units
+/// are a pure function of the input. Sweeping the units one after another
+/// therefore yields exactly the bits of one sweep per group.
+///
+/// Threads. Create() buckets and copies contiguous tuple ranges in
+/// parallel and sorts different groups in parallel (one group is still one
+/// sort). Group ids are the ranks of the keys in GroupKeyLess order; of
+/// equivalent keys (-0.0 and +0.0) the one seen first in input order is
+/// stored. `Next()` drains the swept units in order; while it drains one
+/// wave (a few units per thread), the pool sweeps the next. Inputs that fit
+/// one range and one unit run inline without a pool, and the pool is
+/// released once the last unit is swept. The output (bits, group ids,
+/// group keys, error messages) never depends on the thread count.
 ///
 /// Create() rejects, with an InvalidArgument naming the tuple index:
+///  * a NaN grouping value, naming the attribute — NaN has no place in the
+///    group order;
+///  * a tuple ending at the maximal chronon, whose end event `end + 1`
+///    is not representable;
 ///  * a non-finite (NaN or infinite) aggregate input, naming the attribute
 ///    — MIN/MAX could not retire a NaN and running sums would stay
-///    poisoned after the tuple ends;
-///  * a tuple ending at the maximal chronon, whose end event `end + 1`
-///    is not representable.
+///    poisoned after the tuple ends.
+/// When several tuples offend, the lowest tuple index is reported, and a
+/// tuple is checked in the order listed.
 class ItaStream : public SegmentSource {
  public:
-  [[nodiscard]] static Result<std::unique_ptr<ItaStream>> Create(const TemporalRelation& rel,
-                                                   const ItaSpec& spec);
+  /// `num_threads` bounds the worker threads; 0 means all hardware threads.
+  [[nodiscard]] static Result<std::unique_ptr<ItaStream>> Create(
+      const TemporalRelation& rel, const ItaSpec& spec,
+      size_t num_threads = 0);
+  /// Joins the workers, which may still be sweeping a wave.
   ~ItaStream() override;
+  ItaStream(const ItaStream&) = delete;
+  ItaStream& operator=(const ItaStream&) = delete;
 
   size_t num_aggregates() const override { return aggregates_.size(); }
   bool Next(Segment* out) override;
@@ -65,51 +98,73 @@ class ItaStream : public SegmentSource {
   std::vector<std::string> value_names() const;
 
  private:
-  explicit ItaStream(std::vector<AggregateSpec> aggregates);
+  friend Result<SequentialRelation> Ita(const TemporalRelation& rel,
+                                        const ItaSpec& spec,
+                                        size_t num_threads);
+
+  // A tuple boundary: `time` is the tuple's begin (start) or end + 1.
+  struct TupleEvent {
+    Chronon time;
+    uint64_t tag;  // row << 1 | is_start
+    bool is_start() const { return (tag & 1) != 0; }
+  };
+  // One swept unit's coalesced result tuples, columnar.
+  struct UnitBuffer {
+    std::vector<int32_t> groups;
+    std::vector<Interval> intervals;
+    std::vector<double> values;  // p per row
+  };
+
+  ItaStream(std::vector<AggregateSpec> aggregates, size_t num_threads);
 
   /// Buckets and copies `rel` into the column block; fails on the inputs
   /// the class comment lists.
   [[nodiscard]] Status Load(const TemporalRelation& rel,
                             const std::vector<size_t>& group_indices,
                             const std::vector<int>& agg_attr_indices);
-  /// Loads the next group's events; false when all groups are done.
-  bool StartNextGroup();
-  /// Processes events until one segment is flushed or the group ends.
-  void StepGroup(Segment* flushed, bool* has_flushed);
+  /// Builds and sorts every group's events and cuts them into units.
+  void BuildUnits();
+  /// Starts sweeping the next wave of units into next_wave_ (on the pool
+  /// when there is one, else inline).
+  void LaunchWave();
+  /// Makes the launched wave current and launches the one after it; false
+  /// when no units are left.
+  bool AdvanceWave();
+  /// Sweeps events [begin, end), which start and end at unit cuts.
+  void SweepUnit(size_t begin, size_t end, UnitBuffer* out) const;
+  /// Runs fn(0) ... fn(count - 1), on the pool when that can help.
+  void RunTasks(size_t count, const std::function<void(size_t)>& fn);
 
   std::vector<AggregateSpec> aggregates_;
+  size_t num_threads_;
+  std::unique_ptr<ThreadPool> pool_;
 
   // The input, group-major: group g owns rows [group_begin_[g],
-  // group_begin_[g + 1]); a row keeps the relative tuple order of its group.
+  // group_begin_[g + 1]) and events [2 * group_begin_[g],
+  // 2 * group_begin_[g + 1]); a row keeps the relative tuple order of its
+  // group, and row r starts as events 2r (start) and 2r + 1 (end).
   std::vector<GroupKey> group_keys_;
   std::vector<size_t> group_begin_;
-  std::vector<Interval> intervals_;  // per row
-  std::vector<double> columns_;      // rows * p aggregate inputs
-  size_t current_group_ = 0;
-  bool group_active_ = false;
+  std::unique_ptr<TupleEvent[]> events_;  // then each group's in time order
+  std::unique_ptr<double[]> columns_;     // rows * p aggregate inputs
 
-  // Per-group sweep state: the group's boundary events in time order.
-  struct TupleEvent {
-    Chronon time;
-    uint64_t tag;  // row << 1 | is_start
-    bool is_start() const { return (tag & 1) != 0; }
-  };
-  std::vector<TupleEvent> events_;
-  size_t event_pos_ = 0;
-  int64_t active_count_ = 0;
-  Chronon boundary_ = 0;
-  std::vector<std::unique_ptr<Aggregator>> aggregators_;
-  std::vector<double> current_;  // the elementary interval's values
-
-  // Coalescing buffer.
-  bool pending_valid_ = false;
-  Segment pending_;
+  // Unit u spans events [unit_end_[u - 1], unit_end_[u]) (from 0 for u = 0).
+  std::vector<size_t> unit_end_;
+  size_t next_unit_ = 0;
+  // The current wave's buffers and the read position in them, and the
+  // buffers of the wave being swept meanwhile.
+  std::vector<UnitBuffer> wave_;
+  size_t wave_unit_ = 0;
+  size_t wave_row_ = 0;
+  std::vector<UnitBuffer> next_wave_;
+  bool wave_pending_ = false;
 };
 
 /// Batch ITA: materializes the full sequential result with group keys
-/// attached. Equivalent to draining an ItaStream.
+/// attached. Equivalent to draining an ItaStream; `num_threads` as there.
 [[nodiscard]] Result<SequentialRelation> Ita(const TemporalRelation& rel,
-                               const ItaSpec& spec);
+                                             const ItaSpec& spec,
+                                             size_t num_threads = 0);
 
 /// \brief Stable shard assignment for ITA groups.
 ///

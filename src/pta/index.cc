@@ -1,6 +1,7 @@
 #include "pta/index.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -326,6 +327,19 @@ Result<PtaIndex> PtaIndex::FromParts(SequentialRelation input,
   }
   if (cumulative.size() != m + 1) {
     return Status::InvalidArgument("cumulative error count mismatch");
+  }
+  for (size_t k = 0; k < merge_values.size(); ++k) {
+    if (!std::isfinite(merge_values[k])) {
+      return Status::InvalidArgument(
+          "non-finite value at merge " + std::to_string(k / p) +
+          ", dimension " + std::to_string(k % p));
+    }
+  }
+  for (size_t j = 0; j < m; ++j) {
+    if (!std::isfinite(deltas[j])) {
+      return Status::InvalidArgument("non-finite delta at merge " +
+                                     std::to_string(j));
+    }
   }
   // The error curve must be exactly what Build would have accumulated:
   // cum_[0] = +0.0 and each step adds the recorded delta in merge order.

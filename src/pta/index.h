@@ -112,11 +112,12 @@ class PtaIndex {
 
   /// Reassembles an index from its recorded parts (the load path of
   /// pta/index_io.h). Validates everything Build() would have guaranteed:
-  /// input order, weights arity/positivity, array-size consistency, the
-  /// delta/cumulative error relationship (bitwise — the running sum is
-  /// re-accumulated in merge order), and the dendrogram's structure (every
-  /// child index in range and consumed exactly once, groups and intervals
-  /// consistent with the children). Roots are recomputed, not trusted.
+  /// input order, finite leaf values, merge payloads and deltas, weights
+  /// arity/positivity, array-size consistency, the delta/cumulative error
+  /// relationship (bitwise — the running sum is re-accumulated in merge
+  /// order), and the dendrogram's structure (every child index in range
+  /// and consumed exactly once, groups and intervals consistent with the
+  /// children). Roots are recomputed, not trusted.
   /// Rejects anything else as InvalidArgument — never crashes on a
   /// malformed dendrogram.
   [[nodiscard]] static Result<PtaIndex> FromParts(SequentialRelation input,

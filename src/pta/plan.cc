@@ -584,7 +584,7 @@ Result<std::shared_ptr<const PtaIndex>> IndexCacheGetOrBuild(
       // relation inside the cache), so the input is copied once here.
       input = *plan.sequential;
     } else {
-      auto ita = Ita(*plan.relation, plan.spec);
+      auto ita = Ita(*plan.relation, plan.spec, plan.parallel.num_threads);
       if (!ita.ok()) return ita.status();
       input = std::move(*ita);
     }
@@ -663,7 +663,8 @@ Result<PtaResult> ExecGreedyOverRelation(const PtaPlan& plan,
     }
   }
 
-  auto stream = ItaStream::Create(*plan.relation, plan.spec);
+  auto stream = ItaStream::Create(*plan.relation, plan.spec,
+                                  plan.parallel.num_threads);
   if (!stream.ok()) return stream.status();
   CountingSource source(**stream);
   const GreedyOptions greedy{plan.greedy.weights, plan.greedy.delta,

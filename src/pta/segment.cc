@@ -72,6 +72,14 @@ Status SequentialRelation::Validate() const {
           std::to_string(i));
     }
   }
+  for (size_t k = 0; k < values_.size(); ++k) {
+    if (!std::isfinite(values_[k])) {
+      return Status::InvalidArgument(
+          "non-finite value (" + std::to_string(values_[k]) +
+          ") at segment " + std::to_string(k / p_) + ", dimension " +
+          std::to_string(k % p_));
+    }
+  }
   return Status::Ok();
 }
 

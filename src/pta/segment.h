@@ -95,7 +95,8 @@ class SequentialRelation {
   const std::vector<std::string>& value_names() const { return value_names_; }
 
   /// Checks ordering (group ids non-decreasing, intervals within a group
-  /// strictly ordered and disjoint).
+  /// strictly ordered and disjoint; FailedPrecondition), then that every
+  /// value is finite (InvalidArgument naming the segment and dimension).
   [[nodiscard]] Status Validate() const;
 
   /// Converts to a generic TemporalRelation with schema

@@ -1,6 +1,7 @@
 #include "stream/stream.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 namespace pta {
@@ -203,6 +204,13 @@ Status StreamingPtaEngine::Ingest(const Segment& seg) {
     return Status::InvalidArgument("segment arity mismatch: got " +
                                    std::to_string(seg.values.size()) +
                                    ", engine expects " + std::to_string(p_));
+  }
+  for (size_t d = 0; d < p_; ++d) {
+    if (!std::isfinite(seg.values[d])) {
+      return Status::InvalidArgument(
+          "segment value " + std::to_string(d) + " is not finite (" +
+          std::to_string(seg.values[d]) + ")");
+    }
   }
   if (watermark_ != kNoWatermark && seg.t.begin < watermark_) {
     return Status::FailedPrecondition(

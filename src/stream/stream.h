@@ -93,8 +93,9 @@ class StreamingPtaEngine {
   /// Ingests one segment. Within a group, segments must arrive
   /// chronologically with disjoint intervals; groups may interleave
   /// freely. Segments must not begin before the current watermark.
-  /// Fails with FailedPrecondition on ordering violations, after which the
-  /// engine state is unchanged (the offending segment is dropped).
+  /// Fails with FailedPrecondition on ordering violations and with
+  /// InvalidArgument on a wrong arity or a non-finite value, after which
+  /// the engine state is unchanged (the offending segment is dropped).
   [[nodiscard]] Status Ingest(const Segment& seg);
 
   /// Ingests every segment of `chunk` in order, then applies the

@@ -230,3 +230,23 @@ foreach(agg avg:Sal:AvgSal max:Sal:MaxSal)
     message(FATAL_ERROR "NaN cell (${agg}): unexpected stderr:\n${tool_stderr}")
   endif()
 endforeach()
+
+# 9. A NaN grouping value has no place in the group order: grouping by the
+# same poisoned column must fail the run, naming the attribute and the
+# tuple, instead of splitting or merging groups arbitrarily.
+execute_process(
+  COMMAND ${TOOL}
+          --input ${OUT_DIR}/proj_nan.csv
+          --schema Empl:string,Proj:string,Sal:double
+          --group-by Sal --agg count:N --size 3
+  OUTPUT_VARIABLE tool_stdout
+  ERROR_VARIABLE tool_stderr
+  RESULT_VARIABLE tool_rc
+)
+if(tool_rc EQUAL 0)
+  message(FATAL_ERROR "NaN group-by cell: expected a non-zero exit, got 0:"
+                      "\n${tool_stdout}")
+endif()
+if(NOT tool_stderr MATCHES "grouping attribute 'Sal' of tuple 1 is NaN")
+  message(FATAL_ERROR "NaN group-by cell: unexpected stderr:\n${tool_stderr}")
+endif()

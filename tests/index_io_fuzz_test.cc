@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -191,6 +192,93 @@ TEST(IndexIoFuzzTest, HundredThousandCorruptionsNeverCrash) {
   }
 
   EXPECT_GE(cases, 100000u) << "the battery shrank below its ~100k floor";
+}
+
+// Non-finite doubles are well-formed bytes, so only the value checks can
+// catch them. A NaN or infinity in a leaf value, a merge payload or a merge
+// delta must come back as InvalidArgument, whether it is handed to
+// FromParts directly or planted in the serialized bytes (checksum
+// repaired).
+TEST(IndexIoFuzzTest, NonFiniteValuesAreRejected) {
+  const SequentialRelation rel = RandomSequential(150, 3, 5, 0.2, 19);
+  auto index = PtaIndex::Build(rel);
+  ASSERT_TRUE(index.ok());
+  const std::vector<double>& merge_values = index->merge_values();
+  const std::vector<double>& deltas = index->merge_deltas();
+  ASSERT_FALSE(deltas.empty());
+  const std::string bytes = SerializeIndex(*index);
+  const SequentialRelation& input = index->input();
+  const std::vector<double> leaf_values(
+      input.values(0), input.values(0) + input.size() * input.num_aggregates());
+
+  // The leaves with value k (row-major) replaced.
+  const auto poisoned_leaves = [&](size_t k, double bad) {
+    const SequentialRelation& in = input;
+    const size_t p = in.num_aggregates();
+    SequentialRelation out(p, in.value_names());
+    std::vector<double> row(p);
+    for (size_t i = 0; i < in.size(); ++i) {
+      std::copy(in.values(i), in.values(i) + p, row.begin());
+      if (i == k / p) row[k % p] = bad;
+      out.Append(in.group(i), in.interval(i), row.data());
+    }
+    out.SetGroupKeys(in.group_keys());
+    return out;
+  };
+  // The serialized bytes with the only occurrence of `target` replaced;
+  // empty when the value is not unique in the file.
+  const auto poisoned_bytes = [&](double target, double bad) {
+    char pattern[sizeof(double)];
+    std::memcpy(pattern, &target, sizeof(pattern));
+    const std::string needle(pattern, sizeof(pattern));
+    const size_t at = bytes.find(needle);
+    if (at == std::string::npos || bytes.rfind(needle) != at) {
+      return std::string();
+    }
+    std::string out = bytes;
+    std::memcpy(&out[at], &bad, sizeof(bad));
+    return FixChecksum(std::move(out));
+  };
+
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    // Direct: one part poisoned at a time.
+    for (int part = 0; part < 3; ++part) {
+      std::vector<double> values = merge_values;
+      std::vector<double> d = deltas;
+      SequentialRelation leaves = poisoned_leaves(part == 0 ? 7 : 0, bad);
+      if (part != 0) leaves = input;
+      if (part == 1) values[values.size() / 2] = bad;
+      if (part == 2) d[d.size() / 2] = bad;
+      auto loaded = PtaIndex::FromParts(
+          std::move(leaves), index->merge_nodes(), std::move(values),
+          std::move(d), index->cumulative_errors(), index->weights(),
+          index->merge_across_gaps());
+      ASSERT_FALSE(loaded.ok()) << "part " << part << " value " << bad;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(loaded.status().message().find("non-finite"),
+                std::string::npos)
+          << loaded.status().message();
+    }
+
+    // Through the file format: the first uniquely-encoded value of each
+    // section.
+    for (const std::vector<double>* section :
+         {&leaf_values, &merge_values, &deltas}) {
+      std::string corrupt;
+      for (size_t k = 0; k < section->size() && corrupt.empty(); ++k) {
+        corrupt = poisoned_bytes((*section)[k], bad);
+      }
+      ASSERT_FALSE(corrupt.empty());
+      auto loaded = DeserializeIndex(corrupt);
+      ASSERT_FALSE(loaded.ok()) << bad;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(loaded.status().message().find("non-finite"),
+                std::string::npos)
+          << loaded.status().message();
+    }
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "test_util.h"
 
@@ -234,6 +235,134 @@ TEST(ItaTest, TieHeavySweepBitsArePinned) {
   EXPECT_EQ(ItaDigest(*result), 9135676473886950055ULL);
 }
 
+// One group of 40,000 tuples in 5,000 clusters: each cluster packs about
+// eight tuples of 1-4 chronons into a 5-chronon window, and consecutive
+// clusters are 10 chronons apart. Most instants carry several simultaneous
+// events, and every cluster is followed by a gap — enough zero-coverage
+// instants for the sweep to split the group into many units.
+TemporalRelation ClusteredSingleGroup() {
+  TemporalRelation rel{Schema({{"Load", ValueType::kInt64},
+                               {"Temp", ValueType::kDouble}})};
+  Random rng(77);
+  for (int i = 0; i < 40000; ++i) {
+    const Chronon b = 10 * rng.UniformInt(0, 4999) + rng.UniformInt(0, 1);
+    const Chronon e = b + rng.UniformInt(0, 3);
+    PTA_CHECK(rel.Insert({Value(rng.UniformInt(-1000, 1000)),
+                          Value(rng.Uniform(-50.0, 50.0))},
+                         Interval(b, e))
+                  .ok());
+  }
+  return rel;
+}
+
+ItaSpec ClusteredSpec() {
+  return {{},
+          {Avg("Temp", "AvgTemp"), Sum("Load", "SumLoad"), Count("N"),
+           Min("Temp", "MinTemp"), Max("Load", "MaxLoad")}};
+}
+
+// 30,000 tuples over 40 x 75 (string, int) groups, in random group order.
+TemporalRelation ManySmallGroups() {
+  TemporalRelation rel{Schema({{"Dept", ValueType::kString},
+                               {"EmpNo", ValueType::kInt64},
+                               {"Sal", ValueType::kDouble},
+                               {"Bonus", ValueType::kInt64}})};
+  Random rng(4242);
+  for (int i = 0; i < 30000; ++i) {
+    const Chronon b = rng.UniformInt(0, 400);
+    const Chronon e = b + rng.UniformInt(0, 30);
+    PTA_CHECK(rel.Insert({Value("d" + std::to_string(rng.UniformInt(0, 39))),
+                          Value(rng.UniformInt(0, 74)),
+                          Value(rng.Uniform(1000.0, 9000.0)),
+                          Value(rng.UniformInt(0, 500))},
+                         Interval(b, e))
+                  .ok());
+  }
+  return rel;
+}
+
+ItaSpec ManySmallGroupsSpec() {
+  return {{"Dept", "EmpNo"},
+          {Avg("Sal", "AvgSal"), Sum("Bonus", "SumBonus"), Count("N"),
+           Min("Sal", "MinSal"), Max("Bonus", "MaxBonus"),
+           Sum("Sal", "SumSal")}};
+}
+
+std::string GroupKeysToString(const SequentialRelation& rel) {
+  std::string out;
+  for (const GroupKey& key : rel.group_keys()) out += GroupKeyToString(key);
+  return out;
+}
+
+SequentialRelation Drain(ItaStream& stream) {
+  SequentialRelation out(stream.num_aggregates(), stream.value_names());
+  Segment seg;
+  while (stream.Next(&seg)) out.Append(seg);
+  out.SetGroupKeys(stream.group_keys());
+  return out;
+}
+
+TEST(ItaTest, ClusteredSingleGroupBitsArePinned) {
+  const TemporalRelation rel = ClusteredSingleGroup();
+  auto result = Ita(rel, ClusteredSpec());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->Validate().ok());
+  EXPECT_EQ(result->size(), 20944u);
+  EXPECT_EQ(ItaDigest(*result), 7667805839679002181ULL);
+}
+
+TEST(ItaTest, ManySmallGroupsBitsArePinned) {
+  const TemporalRelation rel = ManySmallGroups();
+  auto result = Ita(rel, ManySmallGroupsSpec());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->group_keys().size(), 3000u);
+  EXPECT_TRUE(result->Validate().ok());
+  EXPECT_EQ(result->size(), 38430u);
+  EXPECT_EQ(ItaDigest(*result), 13010733965519315863ULL);
+}
+
+TEST(ItaTest, StreamDrainAndThreadCountsMatchBatch) {
+  const std::pair<TemporalRelation, ItaSpec> inputs[] = {
+      {ClusteredSingleGroup(), ClusteredSpec()},
+      {ManySmallGroups(), ManySmallGroupsSpec()}};
+  for (const auto& [rel, spec] : inputs) {
+    auto batch = Ita(rel, spec);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    auto stream = ItaStream::Create(rel, spec);
+    ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+    const SequentialRelation drained = Drain(**stream);
+    testing::ExpectByteIdentical(drained, *batch);
+    EXPECT_EQ(GroupKeysToString(drained), GroupKeysToString(*batch));
+    // The output never depends on the thread count.
+    for (const size_t threads : {1, 2, 3, 8}) {
+      auto threaded = Ita(rel, spec, threads);
+      ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
+      testing::ExpectByteIdentical(*threaded, *batch);
+      EXPECT_EQ(GroupKeysToString(*threaded), GroupKeysToString(*batch));
+      auto threaded_stream = ItaStream::Create(rel, spec, threads);
+      ASSERT_TRUE(threaded_stream.ok());
+      testing::ExpectByteIdentical(Drain(**threaded_stream), *batch);
+    }
+  }
+}
+
+TEST(ItaTest, SignedZeroGroupValuesShareOneGroup) {
+  // -0.0 and +0.0 are one grouping value; the stored key is the one seen
+  // first in input order, so it prints as "-0".
+  TemporalRelation rel{Schema({{"G", ValueType::kDouble},
+                               {"V", ValueType::kInt64}})};
+  for (int i = 0; i < 20000; ++i) {
+    const double g = i == 0 ? -0.0 : (i % 3 == 0 ? 0.0 : 1.5);
+    PTA_CHECK(rel.Insert({Value(g), Value(i % 7)}, Interval(i, i + 2)).ok());
+  }
+  auto result = Ita(rel, {{"G"}, {Sum("V", "S")}});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->group_keys().size(), 2u);
+  EXPECT_EQ(GroupKeyToString(result->group_keys()[0]), "(-0)");
+  EXPECT_TRUE(std::signbit(result->group_keys()[0][0].AsDoubleExact()));
+  EXPECT_EQ(GroupKeyToString(result->group_keys()[1]), "(1.5)");
+}
+
 // ---- hostile inputs: rejected with a located InvalidArgument -----------
 
 TemporalRelation OneDoubleColumn(double bad) {
@@ -287,6 +416,75 @@ TEST(ItaTest, RejectsTuplesEndingAtTheMaximalChronon) {
   ASSERT_EQ(result->size(), 2u);
   EXPECT_EQ(result->interval(1), Interval(kMax - 4, kMax - 1));
   EXPECT_EQ(result->value(1, 0), 3.0);
+}
+
+TEST(ItaTest, RejectsNaNGroupingValues) {
+  TemporalRelation rel{Schema({{"G", ValueType::kDouble},
+                               {"V", ValueType::kInt64}})};
+  ASSERT_TRUE(rel.Insert({Value(1.0), Value(1)}, Interval(0, 4)).ok());
+  ASSERT_TRUE(rel.Insert({Value(2.0), Value(2)}, Interval(1, 3)).ok());
+  ASSERT_TRUE(
+      rel.Insert({Value(std::nan("")), Value(3)}, Interval(2, 6)).ok());
+  for (const AggregateSpec& agg : {Sum("V", "S"), Count("N")}) {
+    auto stream = ItaStream::Create(rel, {{"G"}, {agg}});
+    ASSERT_FALSE(stream.ok());
+    EXPECT_EQ(stream.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(stream.status().message(),
+              "grouping attribute 'G' of tuple 2 is NaN");
+  }
+}
+
+// 40,000 tuples: with four threads every quarter is its own bucketing and
+// scatter range, so offenders in different ranges are found concurrently.
+TemporalRelation FourRanges() {
+  TemporalRelation rel{Schema({{"G", ValueType::kDouble},
+                               {"V", ValueType::kDouble}})};
+  for (int i = 0; i < 40000; ++i) {
+    PTA_CHECK(rel.Insert({Value(static_cast<double>(i % 5)), Value(1.0 * i)},
+                         Interval(i, i + 3))
+                  .ok());
+  }
+  return rel;
+}
+
+TemporalRelation WithRow(TemporalRelation rel, size_t i, double g, double v,
+                         Interval t) {
+  TemporalRelation out{rel.schema()};
+  for (size_t j = 0; j < rel.size(); ++j) {
+    out.InsertUnchecked(j == i ? Tuple({Value(g), Value(v)}, t)
+                               : rel.tuple(j));
+  }
+  return out;
+}
+
+TEST(ItaTest, LowestOffendingTupleWinsAcrossRanges) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr Chronon kMax = std::numeric_limits<Chronon>::max();
+  const ItaSpec spec{{"G"}, {Avg("V", "A")}};
+  const TemporalRelation base = FourRanges();
+  // Two non-finite inputs, in the second and the last range.
+  const TemporalRelation two_values =
+      WithRow(WithRow(base, 35000, 1.0, -kInf, Interval(0, 1)), 15000, 1.0,
+              kInf, Interval(0, 1));
+  // A NaN grouping value in the last range, after an unrepresentable end
+  // in the second: the earlier tuple wins although bucketing runs first.
+  const TemporalRelation nan_after_end =
+      WithRow(WithRow(base, 31000, std::nan(""), 1.0, Interval(0, 1)), 12000,
+              1.0, 1.0, Interval(5, kMax));
+  const std::pair<const TemporalRelation*, std::string> cases[] = {
+      {&two_values,
+       "aggregate attribute 'V' of tuple 15000 is not finite (inf)"},
+      {&nan_after_end,
+       "ITA input tuple 12000 ends at the maximal chronon; its end event is "
+       "not representable"}};
+  for (const auto& [rel, message] : cases) {
+    for (const size_t threads : {1, 4}) {
+      auto stream = ItaStream::Create(*rel, spec, threads);
+      ASSERT_FALSE(stream.ok());
+      EXPECT_EQ(stream.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(stream.status().message(), message) << threads;
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "test_util.h"
 
 namespace pta {
@@ -50,6 +53,26 @@ TEST(SegmentTest, ValidateCatchesDisorder) {
   overlap.Append(0, Interval(0, 5), &v);
   overlap.Append(0, Interval(5, 8), &v);
   EXPECT_FALSE(overlap.Validate().ok());
+}
+
+TEST(SegmentTest, ValidateRejectsNonFiniteValues) {
+  const double bads[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  for (const double bad : bads) {
+    SequentialRelation rel(2);
+    const double good[] = {1.0, 2.0};
+    const double poisoned[] = {3.0, bad};
+    rel.Append(0, Interval(0, 1), good);
+    rel.Append(0, Interval(2, 3), good);
+    rel.Append(1, Interval(0, 4), poisoned);
+    const Status status = rel.Validate();
+    ASSERT_FALSE(status.ok()) << bad;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("segment 2, dimension 1"),
+              std::string::npos)
+        << status.message();
+  }
 }
 
 TEST(SegmentTest, ToTemporalRelationAttachesGroupKeysAndNames) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 
 #include "pta/greedy.h"
@@ -426,6 +427,19 @@ TEST(StreamStateTest, RejectsMalformedIngestAndPreservesState) {
   // Overlap with the group tail.
   seg.t = Interval(4, 6);
   EXPECT_FALSE(engine.Ingest(seg).ok());
+  // Non-finite values.
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    bad = seg;
+    bad.t = Interval(5, 6);
+    bad.values = {1.0, v};
+    const Status status = engine.Ingest(bad);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << v;
+    EXPECT_NE(status.message().find("segment value 1 is not finite"),
+              std::string::npos)
+        << status.message();
+  }
   // The engine still works after rejections.
   seg.t = Interval(5, 6);
   EXPECT_TRUE(engine.Ingest(seg).ok());
