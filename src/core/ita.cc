@@ -26,15 +26,8 @@ Status CheckTuple(const TemporalRelation& rel, size_t i,
                   const std::vector<size_t>& group_indices,
                   const std::vector<int>& agg_attr_indices,
                   const std::vector<AggregateSpec>& aggregates) {
+  PTA_RETURN_IF_ERROR(rel.CheckGroupingValues(i, group_indices));
   const Tuple& tuple = rel.tuple(i);
-  for (const size_t attr : group_indices) {
-    const Value& v = tuple.value(attr);
-    if (v.type() == ValueType::kDouble && std::isnan(v.AsDoubleExact())) {
-      return Status::InvalidArgument(
-          "grouping attribute '" + rel.schema().attribute(attr).name +
-          "' of tuple " + std::to_string(i) + " is NaN");
-    }
-  }
   if (tuple.interval().end == std::numeric_limits<Chronon>::max()) {
     return Status::InvalidArgument(
         "ITA input tuple " + std::to_string(i) +

@@ -1,6 +1,8 @@
 #include "core/relation.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 #include <unordered_map>
 
 namespace pta {
@@ -60,6 +62,20 @@ bool TemporalRelation::IsSequential(
     }
   }
   return true;
+}
+
+Status TemporalRelation::CheckGroupingValues(
+    size_t i, const std::vector<size_t>& group_indices) const {
+  for (const size_t attr : group_indices) {
+    const Value& v = tuples_[i].value(attr);
+    if (v.type() == ValueType::kDouble && std::isnan(v.AsDoubleExact())) {
+      return Status::InvalidArgument("grouping attribute '" +
+                                     schema_.attribute(attr).name +
+                                     "' of tuple " + std::to_string(i) +
+                                     " is NaN");
+    }
+  }
+  return Status::Ok();
 }
 
 Result<Interval> TemporalRelation::TimeSpan() const {

@@ -44,6 +44,12 @@ class TemporalRelation {
   /// timestamps are pairwise disjoint — the paper's *sequential* property.
   bool IsSequential(const std::vector<size_t>& group_indices) const;
 
+  /// InvalidArgument naming the attribute and the tuple when one of tuple
+  /// i's grouping values (`group_indices`) is NaN: a NaN key has no place
+  /// in the group order of ITA and STA.
+  [[nodiscard]] Status CheckGroupingValues(
+      size_t i, const std::vector<size_t>& group_indices) const;
+
   /// Minimum and maximum chronon covered by any tuple; fails on empty input.
   [[nodiscard]] Result<Interval> TimeSpan() const;
 

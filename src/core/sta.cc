@@ -62,10 +62,12 @@ Result<TemporalRelation> Sta(const TemporalRelation& rel, const StaSpec& spec) {
   }
   TemporalRelation out{Schema(std::move(attrs))};
 
-  // Bucket tuples per group in deterministic order.
+  // Bucket tuples per group in deterministic order. A NaN key would break
+  // the map's strict weak ordering, so it is rejected first, as ITA does.
   std::map<GroupKey, std::vector<size_t>, decltype(&GroupKeyLess)> buckets(
       &GroupKeyLess);
   for (size_t i = 0; i < rel.size(); ++i) {
+    PTA_RETURN_IF_ERROR(rel.CheckGroupingValues(i, *group_indices));
     buckets[rel.tuple(i).Project(*group_indices)].push_back(i);
   }
 

@@ -14,9 +14,15 @@ namespace pta {
 
 namespace {
 
+// Rows per build chunk: small enough that a chunk's merge heap, chain nodes
+// and log stay in cache while it runs (one heap over a million-row group
+// runs several times slower per merge).
+constexpr size_t kChunkRows = 8192;
+// Fewest prefix-max runs worth a rank-merge slice of their own.
+constexpr size_t kMinSliceRuns = 4096;
+
 // One chunk-local merge, with ids already shifted into the global (whole
-// relation) insertion numbering so the gather can replay the global heap's
-// (key, id) order and tie-break verbatim.
+// relation) insertion numbering, so they name the input rows directly.
 struct LoggedMerge {
   double key = 0.0;
   int64_t top_id = 0;   // global id of the node folded away
@@ -27,6 +33,23 @@ struct LoggedMerge {
   // index * p .. (index + 1) * p.
 };
 
+// The (key, id) order of the merge heap, which is also the global GMS order
+// between the heads of independent chunks.
+bool KeyIdLess(double a_key, int64_t a_id, double b_key, int64_t b_id) {
+  if (a_key != b_key) return a_key < b_key;
+  return a_id < b_id;
+}
+
+// A maximal stretch of a chunk's log that shares one prefix maximum of
+// (key, top_id). The prefix maxima of a log never decrease, so a chunk's
+// runs are strictly ascending.
+struct MaxRun {
+  double key = 0.0;
+  int64_t top_id = 0;
+  size_t begin = 0;  // first log index of the run
+  size_t rank = 0;   // global merge rank of that first entry
+};
+
 // The full GMS run of one contiguous row range [begin, end) whose edges
 // no merge can cross (see ChunkRanges): every merge until only
 // non-mergeable pairs remain, in chunk-local GMS order. Because no merge
@@ -35,6 +58,12 @@ struct LoggedMerge {
 struct ChunkLog {
   std::vector<LoggedMerge> merges;
   std::vector<double> values;  // merges.size() * p payload copies
+  std::vector<MaxRun> runs;    // prefix-max runs of `merges`
+
+  // Log index of run j's first entry; the log's end for j == runs.size().
+  size_t RunBegin(size_t j) const {
+    return j < runs.size() ? runs[j].begin : merges.size();
+  }
 };
 
 void RunChunk(const SequentialRelation& rel, size_t begin, size_t end,
@@ -63,25 +92,29 @@ void RunChunk(const SequentialRelation& rel, size_t begin, size_t end,
     entry.t = rec.t;
     log->merges.push_back(entry);
     log->values.insert(log->values.end(), rec.values, rec.values + p);
+    if (log->runs.empty() ||
+        KeyIdLess(log->runs.back().key, log->runs.back().top_id, entry.key,
+                  entry.top_id)) {
+      log->runs.push_back(
+          MaxRun{entry.key, entry.top_id, log->merges.size() - 1, 0});
+    }
   }
 }
 
-// Contiguous independent chunk ranges of roughly equal row counts. A
+// Contiguous independent chunk ranges of about `target_rows` rows each. A
 // chunk may start at row i only if row i can never fold into row i - 1:
 // the group changes, or (without gap merging) the two leave a temporal
 // gap. Merging never changes either end of such a pair — a merged node
 // keeps its leftmost begin and rightmost end — so the pair's key stays
 // infinite for the whole run, exactly as at a chunk edge. The boundaries
 // never affect the result (the gather re-serializes the global order);
-// they only balance the build across the pool.
+// they only size the build for the cache and balance it across the pool.
 std::vector<std::pair<size_t, size_t>> ChunkRanges(
     const SequentialRelation& rel, bool merge_across_gaps,
-    size_t target_chunks) {
+    size_t target_rows) {
   std::vector<std::pair<size_t, size_t>> ranges;
   const size_t n = rel.size();
   if (n == 0) return ranges;
-  const size_t target_rows = std::max<size_t>(1, n / std::max<size_t>(
-                                                      1, target_chunks));
   size_t begin = 0;
   for (size_t i = 1; i < n; ++i) {
     if (i - begin < target_rows) continue;
@@ -96,6 +129,118 @@ std::vector<std::pair<size_t, size_t>> ChunkRanges(
   }
   ranges.push_back({begin, n});
   return ranges;
+}
+
+// Assigns every run of every log its global merge rank: the position of
+// its first entry in the global GMS order, whose later entries follow it
+// consecutively.
+//
+// The global order is the serial heads merge — repeatedly take the chunk
+// whose next logged merge is the smallest by (key, top_id) — and it equals
+// a plain merge of the chunks' prefix-max runs. Those runs never decrease,
+// and equal maxima only occur within one chunk (where they keep log order),
+// because top_ids are globally unique. Proof that the heads merge emits
+// prefix maxima in order: say x is emitted and the next emitted y comes
+// from another chunk. Let m = prefix-max(x), an entry of x's chunk at or
+// before x. When m was emitted, y's chunk head h was bigger than m, and y
+// is at or after h in its chunk. So prefix-max(y) >= h > m.
+//
+// The run merge is split into value slices at sampled splitters; each
+// slice merges its runs of every chunk on its own, starting at the number
+// of entries in the slices below it.
+void RankRuns(std::vector<ChunkLog>* logs, ThreadPool* pool) {
+  const auto run_less = [](const MaxRun& a, const MaxRun& b) {
+    return KeyIdLess(a.key, a.top_id, b.key, b.top_id);
+  };
+  const size_t k = logs->size();
+  size_t total_runs = 0;
+  for (const ChunkLog& log : *logs) total_runs += log.runs.size();
+  if (total_runs == 0) return;
+
+  // A few slices per thread, but none so small that its task costs more
+  // than its merge.
+  const size_t wanted = std::clamp<size_t>(total_runs / kMinSliceRuns, 1,
+                                           pool->num_threads() == 1
+                                               ? 1
+                                               : pool->num_threads() * 4);
+  // Every stride-th run of all chunks' runs laid end to end: a chunk's runs
+  // span the whole key range, so the sample must not restart per chunk.
+  const size_t stride = std::max<size_t>(1, total_runs / (wanted * 64));
+  std::vector<MaxRun> samples;
+  size_t skip = stride - 1;
+  for (const ChunkLog& log : *logs) {
+    size_t j = skip;
+    for (; j < log.runs.size(); j += stride) {
+      samples.push_back(log.runs[j]);
+    }
+    skip = j - log.runs.size();
+  }
+  std::sort(samples.begin(), samples.end(), run_less);
+  // Slice s holds the runs with splitters[s - 1] < key <= splitters[s].
+  std::vector<MaxRun> splitters;
+  for (size_t s = 1; s < wanted && !samples.empty(); ++s) {
+    const MaxRun& cand = samples[s * samples.size() / wanted];
+    if (splitters.empty() || run_less(splitters.back(), cand)) {
+      splitters.push_back(cand);
+    }
+  }
+  const size_t slices = splitters.size() + 1;
+
+  // bound[s * k + c] = first run of chunk c in slice s (or later).
+  std::vector<size_t> bound((slices + 1) * k);
+  std::vector<size_t> offset(slices + 1, 0);
+  for (size_t c = 0; c < k; ++c) {
+    const std::vector<MaxRun>& runs = (*logs)[c].runs;
+    bound[c] = 0;
+    bound[slices * k + c] = runs.size();
+    for (size_t s = 1; s < slices; ++s) {
+      bound[s * k + c] = static_cast<size_t>(
+          std::upper_bound(runs.begin(), runs.end(), splitters[s - 1],
+                           run_less) -
+          runs.begin());
+    }
+    for (size_t s = 0; s < slices; ++s) {
+      offset[s + 1] += (*logs)[c].RunBegin(bound[(s + 1) * k + c]) -
+                       (*logs)[c].RunBegin(bound[s * k + c]);
+    }
+  }
+  for (size_t s = 0; s < slices; ++s) offset[s + 1] += offset[s];
+
+  pool->ParallelFor(slices, [&](size_t s) {
+    struct Head {
+      double key;
+      int64_t id;
+      uint32_t chunk;
+    };
+    const auto head_after = [](const Head& a, const Head& b) {
+      return KeyIdLess(b.key, b.id, a.key, a.id);
+    };
+    std::vector<size_t> next(bound.begin() + s * k,
+                             bound.begin() + (s + 1) * k);
+    const size_t* last = bound.data() + (s + 1) * k;
+    std::vector<Head> heads;
+    for (size_t c = 0; c < k; ++c) {
+      if (next[c] == last[c]) continue;
+      const MaxRun& run = (*logs)[c].runs[next[c]];
+      heads.push_back(Head{run.key, run.top_id, static_cast<uint32_t>(c)});
+    }
+    std::make_heap(heads.begin(), heads.end(), head_after);
+    size_t rank = offset[s];
+    while (!heads.empty()) {
+      std::pop_heap(heads.begin(), heads.end(), head_after);
+      const size_t c = heads.back().chunk;
+      heads.pop_back();
+      ChunkLog& log = (*logs)[c];
+      const size_t j = next[c]++;
+      log.runs[j].rank = rank;
+      rank += log.RunBegin(j + 1) - log.runs[j].begin;
+      if (next[c] < last[c]) {
+        const MaxRun& run = log.runs[next[c]];
+        heads.push_back(Head{run.key, run.top_id, static_cast<uint32_t>(c)});
+        std::push_heap(heads.begin(), heads.end(), head_after);
+      }
+    }
+  });
 }
 
 }  // namespace
@@ -140,23 +285,24 @@ Result<PtaIndex> PtaIndex::Build(SequentialRelation input,
   const size_t threads = options.num_threads == 0
                              ? ThreadPool::DefaultThreadCount()
                              : options.num_threads;
-  // A few chunks per thread keeps the pool busy when group or gap-run
-  // sizes are skewed; chunking never changes the result. A single-threaded
-  // build uses one chunk and records straight into the index (no pool, no
-  // log, one payload copy) — the bench gates build cost at <= 1.3x one
-  // greedy run, and spawning workers or double-buffering would eat that
-  // margin.
-  const auto ranges =
-      threads == 1 ? std::vector<std::pair<size_t, size_t>>{{0, n}}
-                   : ChunkRanges(rel, options.merge_across_gaps, threads * 4);
+  // Cache-sized chunks, and a few per thread even on small inputs so the
+  // pool stays busy when group or gap-run sizes are skewed; chunking never
+  // changes the result.
+  const size_t target_chunks = std::max(n / kChunkRows, threads * 4);
+  const auto ranges = ChunkRanges(rel, options.merge_across_gaps,
+                                  std::max<size_t>(1, n / target_chunks));
 
   // dnode[row] = dendrogram node currently carrying the heap node whose
-  // global id is row + 1 (survivors keep their id, so the slot stays live).
+  // global id is row + 1 (survivors keep their id, so the slot stays live);
+  // -1 once that heap node was folded away.
   std::vector<int32_t> dnode(n);
   for (size_t i = 0; i < n; ++i) dnode[i] = static_cast<int32_t>(i);
   size_t total_merges = 0;
 
   if (ranges.size() == 1) {
+    // One chunk (no split point, as in a gap-free group or with gap
+    // merging): record straight into the index — no pool, no log, one
+    // payload copy.
     index.merges_.reserve(n);
     index.merge_values_.reserve(n * p);
     index.delta_.reserve(n);
@@ -174,16 +320,17 @@ Result<PtaIndex> PtaIndex::Build(SequentialRelation input,
     while (!heap.empty() && heap.Peek().key < kInfiniteError) {
       MergeHeap::MergeRecord rec;
       heap.MergeTop(&rec);
-      const int32_t left = dnode[static_cast<size_t>(rec.pred_id) - 1];
-      const int32_t right = dnode[static_cast<size_t>(rec.top_id) - 1];
-      index.merges_.push_back(MergeNode{left, right, rec.group, rec.t});
+      const size_t pred = static_cast<size_t>(rec.pred_id) - 1;
+      const size_t top = static_cast<size_t>(rec.top_id) - 1;
+      index.merges_.push_back(
+          MergeNode{dnode[pred], dnode[top], rec.group, rec.t});
       index.merge_values_.insert(index.merge_values_.end(), rec.values,
                                  rec.values + p);
       index.delta_.push_back(rec.key);
       running += rec.key;
       index.cum_.push_back(running);
-      dnode[static_cast<size_t>(rec.pred_id) - 1] =
-          static_cast<int32_t>(n + total_merges);
+      dnode[pred] = static_cast<int32_t>(n + total_merges);
+      dnode[top] = -1;
       ++total_merges;
     }
     if (stats != nullptr) {
@@ -192,99 +339,69 @@ Result<PtaIndex> PtaIndex::Build(SequentialRelation input,
     }
   } else {
     std::vector<ChunkLog> logs(ranges.size());
-    {
-      ThreadPool pool(std::max<size_t>(1, std::min(threads, ranges.size())));
-      pool.ParallelFor(ranges.size(), [&](size_t i) {
-        RunChunk(rel, ranges[i].first, ranges[i].second, p, options,
-                 &logs[i]);
-      });
-      if (stats != nullptr) {
-        stats->chunks = ranges.size();
-        stats->threads_used = pool.num_threads();
+    ThreadPool pool(std::max<size_t>(1, std::min(threads, ranges.size())));
+    pool.ParallelFor(ranges.size(), [&](size_t i) {
+      RunChunk(rel, ranges[i].first, ranges[i].second, p, options, &logs[i]);
+    });
+    if (stats != nullptr) {
+      stats->chunks = ranges.size();
+      stats->threads_used = pool.num_threads();
+    }
+
+    // ---- gather: every logged merge at its global GMS rank --------------
+    for (const ChunkLog& log : logs) total_merges += log.merges.size();
+    // The calling thread sizes the output arrays, so that they come from its
+    // allocator arena, as the rest of the index does.
+    index.merges_.resize(total_merges);
+    index.merge_values_.resize(total_merges * p);
+    index.delta_.resize(total_merges);
+    RankRuns(&logs, &pool);
+    // Merge chains never cross a chunk edge, so a chunk's merges only touch
+    // its own dnode rows, in log order — the order the global replay
+    // touches them in. Each chunk writes its nodes at their ranks alone.
+    const auto write_chunk = [&](size_t c) {
+      ChunkLog& log = logs[c];
+      for (size_t j = 0; j < log.runs.size(); ++j) {
+        size_t rank = log.runs[j].rank;
+        const size_t end = log.RunBegin(j + 1);
+        for (size_t i = log.runs[j].begin; i < end; ++i, ++rank) {
+          const LoggedMerge& e = log.merges[i];
+          const size_t pred = static_cast<size_t>(e.pred_id) - 1;
+          const size_t top = static_cast<size_t>(e.top_id) - 1;
+          index.merges_[rank] = MergeNode{dnode[pred], dnode[top], e.group,
+                                          e.t};
+          std::copy(log.values.data() + i * p, log.values.data() + (i + 1) * p,
+                    index.merge_values_.data() + rank * p);
+          index.delta_[rank] = e.key;
+          dnode[pred] = static_cast<int32_t>(n + rank);
+          dnode[top] = -1;
+        }
       }
-    }
-
-    // ---- gather: replay the global GMS order ---------------------------
-    // At any global state, every chunk's next local merge is that chunk's
-    // current heap minimum, so the global minimum is the smallest chunk
-    // head by (key, id) — a deterministic k-way merge of the logs
-    // reproduces the global sequence, and with it the bitwise-identical
-    // cumulative SSE.
-    size_t merge_total = 0;
-    for (const ChunkLog& log : logs) merge_total += log.merges.size();
-    index.merges_.reserve(merge_total);
-    index.merge_values_.reserve(merge_total * p);
-    index.delta_.reserve(merge_total);
-    index.cum_.reserve(merge_total + 1);
-
-    // A binary min-heap over the chunk heads keyed by (key, top_id) — the
-    // heap's own tie-break — keeps each step at O(log chunks) instead of a
-    // linear scan (chunk count scales with the thread count).
-    struct Head {
-      double key;
-      int64_t top_id;
-      uint32_t chunk;
+      log = ChunkLog{};
     };
-    const auto head_after = [](const Head& a, const Head& b) {
-      if (a.key != b.key) return a.key > b.key;
-      return a.top_id > b.top_id;
-    };
-    std::vector<size_t> cursor(logs.size(), 0);
-    std::vector<Head> heads;
-    heads.reserve(logs.size());
-    for (size_t s = 0; s < logs.size(); ++s) {
-      if (logs[s].merges.empty()) continue;
-      heads.push_back(Head{logs[s].merges[0].key, logs[s].merges[0].top_id,
-                           static_cast<uint32_t>(s)});
+    // Below a chunk's worth of merges the pool's task hand-offs cost more
+    // than the writes themselves.
+    if (pool.num_threads() > 1 && total_merges >= kChunkRows) {
+      pool.ParallelFor(logs.size(), write_chunk);
+    } else {
+      for (size_t c = 0; c < logs.size(); ++c) write_chunk(c);
     }
-    std::make_heap(heads.begin(), heads.end(), head_after);
-
+    // The same additions in the same order as a serial replay: same bits.
+    index.cum_.reserve(total_merges + 1);
     double running = 0.0;
-    for (size_t step = 0; step < merge_total; ++step) {
-      std::pop_heap(heads.begin(), heads.end(), head_after);
-      const size_t best = heads.back().chunk;
-      heads.pop_back();
-      const LoggedMerge& e = logs[best].merges[cursor[best]];
-      const double* values = logs[best].values.data() + cursor[best] * p;
-      ++cursor[best];
-      if (cursor[best] < logs[best].merges.size()) {
-        const LoggedMerge& next = logs[best].merges[cursor[best]];
-        heads.push_back(
-            Head{next.key, next.top_id, static_cast<uint32_t>(best)});
-        std::push_heap(heads.begin(), heads.end(), head_after);
-      }
-
-      const int32_t left = dnode[static_cast<size_t>(e.pred_id) - 1];
-      const int32_t right = dnode[static_cast<size_t>(e.top_id) - 1];
-      index.merges_.push_back(MergeNode{left, right, e.group, e.t});
-      index.merge_values_.insert(index.merge_values_.end(), values,
-                                 values + p);
-      index.delta_.push_back(e.key);
-      running += e.key;
+    for (const double delta : index.delta_) {
+      running += delta;
       index.cum_.push_back(running);
-      dnode[static_cast<size_t>(e.pred_id) - 1] =
-          static_cast<int32_t>(n + step);
     }
-    total_merges = merge_total;
   }
 
   // ---- roots: the surviving nodes, chronologically ----------------------
-  // Reconstructed from the dendrogram itself: a node is a root iff no
-  // merge consumed it; its chronological rank is its leftmost leaf.
-  std::vector<int32_t> lo(n + total_merges);
-  for (size_t i = 0; i < n; ++i) lo[i] = static_cast<int32_t>(i);
-  std::vector<bool> consumed(n + total_merges, false);
-  for (size_t j = 0; j < total_merges; ++j) {
-    consumed[static_cast<size_t>(index.merges_[j].left)] = true;
-    consumed[static_cast<size_t>(index.merges_[j].right)] = true;
-    lo[n + j] = lo[static_cast<size_t>(index.merges_[j].left)];
-  }
+  // A run's survivor is its leftmost row (merges fold into the
+  // predecessor), so the roots are the surviving rows' nodes in row order.
   index.roots_.reserve(n - total_merges);
-  for (size_t x = 0; x < consumed.size(); ++x) {
-    if (!consumed[x]) index.roots_.push_back(static_cast<int32_t>(x));
+  for (size_t i = 0; i < n; ++i) {
+    if (dnode[i] >= 0) index.roots_.push_back(dnode[i]);
   }
-  std::sort(index.roots_.begin(), index.roots_.end(),
-            [&lo](int32_t a, int32_t b) { return lo[a] < lo[b]; });
   PTA_CHECK_MSG(index.roots_.size() == n - total_merges,
                 "dendrogram root count mismatch");
 
@@ -362,13 +479,6 @@ Result<PtaIndex> PtaIndex::FromParts(SequentialRelation input,
           std::to_string(j));
     }
   }
-  for (size_t i = 0; i < n; ++i) {
-    if (input.interval(i).begin > input.interval(i).end) {
-      return Status::InvalidArgument("inverted leaf interval at segment " +
-                                     std::to_string(i));
-    }
-  }
-
   // Structural check: merge j may only fold two distinct, not-yet-consumed
   // nodes that already exist (index < n + j), its group must agree with
   // both children, and its interval must be their hull. Everything the cut

@@ -29,12 +29,14 @@
 // the documented lookahead deviation otherwise (see greedy_test.cc).
 //
 // Construction is sharded on util/thread_pool into independent (group- or
-// gap-aligned) chunks: adjacency never crosses an aggregation group, and
-// without gap merging never crosses a temporal gap either, so a merge
-// chain never spans two chunks. The chunks run independent recorders and
-// a deterministic k-way gather — ordered by (key, sequence id), exactly
-// the heap's tie-break — reassembles the global GMS order. The result is a
-// pure function of the input: thread count only changes the wall clock.
+// gap-aligned) chunks of about 8k rows, cache-sized whatever the thread
+// count: adjacency never crosses an aggregation group, and without gap
+// merging never crosses a temporal gap either, so a merge chain never
+// spans two chunks. The chunks run independent recorders; a parallel merge
+// of their prefix maxima of (key, sequence id) — the heap's tie-break —
+// gives every recorded merge its rank in the global GMS order, and each
+// chunk then writes its merges at their ranks. The result is a pure
+// function of the input: thread count only changes the wall clock.
 //
 // The planner exposes the index as Engine::kIndexed, re-binds budgets with
 // PtaQuery::WithBudget, and caches built indexes by the budget-stripped
@@ -70,8 +72,10 @@ struct PtaIndexOptions {
 
 /// \brief Observability of one index construction.
 struct PtaIndexBuildStats {
-  /// Independent (group- or gap-aligned) chunks the input was split into;
-  /// 1 for a single-threaded build.
+  /// Independent (group- or gap-aligned) chunks the input was split into:
+  /// cache-sized, about one per 8192 rows whatever the thread count (and
+  /// never fewer than four per thread), cut only where split points
+  /// allow; 1 when the input has none (a gap-free group, or gap merging).
   size_t chunks = 0;
   /// Threads the pool actually ran with.
   size_t threads_used = 0;

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <string>
 
 namespace pta {
 
@@ -60,6 +62,23 @@ size_t SequentialRelation::CMin() const {
 }
 
 Status SequentialRelation::Validate() const {
+  for (size_t i = 0; i < size(); ++i) {
+    const Interval& t = intervals_[i];
+    const auto where = [&] {
+      return "[" + std::to_string(t.begin) + ", " + std::to_string(t.end) +
+             "] at segment " + std::to_string(i);
+    };
+    if (t.begin > t.end) {
+      return Status::InvalidArgument("inverted interval " + where());
+    }
+    // length() = end - begin + 1 must fit in int64_t; the difference is
+    // taken unsigned, where it cannot overflow.
+    if (static_cast<uint64_t>(t.end) - static_cast<uint64_t>(t.begin) >=
+        static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+      return Status::InvalidArgument("interval " + where() +
+                                     " is longer than INT64_MAX chronons");
+    }
+  }
   for (size_t i = 0; i + 1 < size(); ++i) {
     if (groups_[i] > groups_[i + 1]) {
       return Status::FailedPrecondition(

@@ -94,9 +94,11 @@ class SequentialRelation {
   void SetValueNames(std::vector<std::string> names);
   const std::vector<std::string>& value_names() const { return value_names_; }
 
-  /// Checks ordering (group ids non-decreasing, intervals within a group
-  /// strictly ordered and disjoint; FailedPrecondition), then that every
-  /// value is finite (InvalidArgument naming the segment and dimension).
+  /// Checks that every interval is proper (begin <= end) and that its
+  /// length() fits in int64_t (InvalidArgument naming the segment), then
+  /// ordering (group ids non-decreasing, intervals within a group strictly
+  /// ordered and disjoint; FailedPrecondition), then that every value is
+  /// finite (InvalidArgument naming the segment and dimension).
   [[nodiscard]] Status Validate() const;
 
   /// Converts to a generic TemporalRelation with schema

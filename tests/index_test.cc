@@ -7,7 +7,8 @@
 //    delta = infinity, budget by budget;
 //  * MultiBudgetCut as one refinement walk equal to individual cuts;
 //  * build determinism across thread counts and chunkings, including
-//    single groups split at their temporal gaps;
+//    single groups split at their temporal gaps, pinned by SerializeIndex
+//    digests on inputs large enough for many cache-sized chunks;
 //  * boundary behaviour matching the reducers (c = 0, c < cmin, c >= n,
 //    empty input, eps range).
 
@@ -16,11 +17,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "datasets/synthetic.h"
 #include "pta/greedy.h"
+#include "pta/index_io.h"
 #include "test_util.h"
 
 namespace pta {
@@ -216,7 +219,8 @@ TEST(PtaIndexTest, BuildIsDeterministicAcrossThreadCounts) {
     const char* name;
     SequentialRelation rel;
     PtaIndexOptions options;
-    // Whether a multi-threaded build splits the input into several chunks.
+    // Whether the build splits the input into several chunks (chunking is
+    // cache-sized, so a splittable input splits at every thread count).
     bool splits;
   };
   PtaIndexOptions gap_merging;
@@ -253,7 +257,7 @@ TEST(PtaIndexTest, BuildIsDeterministicAcrossThreadCounts) {
       PtaIndexBuildStats stats;
       const PtaIndex index = BuildOrDie(rel, options, &stats);
       EXPECT_EQ(stats.merges, serial.merges());
-      if (threads > 1 && tc.splits) {
+      if (tc.splits) {
         EXPECT_GT(stats.chunks, 1u);
       } else {
         EXPECT_EQ(stats.chunks, 1u);
@@ -279,6 +283,57 @@ TEST(PtaIndexTest, BuildIsDeterministicAcrossThreadCounts) {
         EXPECT_EQ(cut->error, base->error) << "eps=" << eps;
       }
       EXPECT_EQ(index.max_error(), serial.max_error());
+    }
+  }
+}
+
+// 64-bit FNV-1a over a byte string.
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(PtaIndexTest, ManyChunkBuildsKeepTheirSerializedDigest) {
+  // Inputs large enough for many cache-sized chunks, so the rank merge and
+  // the per-chunk writes see far more runs than threads. The digests were
+  // recorded from the serial k-way gather the parallel one replaced: the
+  // serialized index must not change by a single byte at any thread count.
+  struct Case {
+    const char* name;
+    SequentialRelation rel;
+    uint64_t digest;
+  };
+  std::vector<Case> cases;
+  // One group split only at its temporal gaps; quantized values make
+  // zero-cost merges in every chunk, so (key, id) ties cross chunk edges.
+  cases.push_back({"tie-heavy gapped single group",
+                   Quantized(RandomSequential(300000, 2, 1, 0.1, 83)),
+                   0x1c5de56d90484edcull});
+  cases.push_back({"many groups", RandomSequential(300000, 3, 2000, 0.05, 89),
+                   0x31cbc85ed932e3e2ull});
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(tc.name);
+    for (const size_t threads : {1, 2, 3, 4, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      PtaIndexOptions options;
+      options.num_threads = threads;
+      PtaIndexBuildStats stats;
+      const PtaIndex index = BuildOrDie(tc.rel, options, &stats);
+      EXPECT_GT(stats.chunks, 4 * threads);
+      EXPECT_EQ(Fnv1a(SerializeIndex(index)), tc.digest);
+      if (threads != 1) continue;
+      for (const size_t c : {index.cmin(), index.cmin() + 997,
+                             tc.rel.size() / 2, tc.rel.size() - 1}) {
+        auto cut = index.CutToSize(c);
+        auto gms = GmsReduceToSize(tc.rel, c);
+        ASSERT_TRUE(cut.ok() && gms.ok()) << "c=" << c;
+        ExpectByteIdentical(cut->relation, gms->relation);
+        EXPECT_EQ(cut->error, gms->error) << "c=" << c;
+      }
     }
   }
 }

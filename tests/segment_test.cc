@@ -5,6 +5,9 @@
 #include <limits>
 #include <string>
 
+#include "pta/dp.h"
+#include "pta/greedy.h"
+#include "pta/index.h"
 #include "test_util.h"
 
 namespace pta {
@@ -72,6 +75,99 @@ TEST(SegmentTest, ValidateRejectsNonFiniteValues) {
     EXPECT_NE(status.message().find("segment 2, dimension 1"),
               std::string::npos)
         << status.message();
+  }
+}
+
+constexpr Chronon kMinChronon = std::numeric_limits<Chronon>::min();
+constexpr Chronon kMaxChronon = std::numeric_limits<Chronon>::max();
+
+// An interval with arbitrary fields (the constructor checks begin <= end).
+Interval RawInterval(Chronon begin, Chronon end) {
+  Interval t;
+  t.begin = begin;
+  t.end = end;
+  return t;
+}
+
+TEST(SegmentTest, ValidateRejectsImproperIntervals) {
+  struct Case {
+    Interval t;
+    const char* message;
+  };
+  const Case cases[] = {
+      {RawInterval(9, 7), "inverted interval [9, 7] at segment 1"},
+      {RawInterval(kMaxChronon, kMinChronon),
+       "inverted interval [9223372036854775807, -9223372036854775808] at "
+       "segment 1"},
+      // One chronon past the longest representable length (INT64_MAX).
+      {RawInterval(kMinChronon, -1),
+       "interval [-9223372036854775808, -1] at segment 1 is longer than "
+       "INT64_MAX chronons"},
+      {RawInterval(-1, kMaxChronon - 1),
+       "interval [-1, 9223372036854775806] at segment 1 is longer than "
+       "INT64_MAX chronons"},
+      {RawInterval(kMinChronon + 1, kMaxChronon - 1),
+       "interval [-9223372036854775807, 9223372036854775806] at segment 1 "
+       "is longer than INT64_MAX chronons"},
+      {RawInterval(kMinChronon, kMaxChronon),
+       "interval [-9223372036854775808, 9223372036854775807] at segment 1 "
+       "is longer than INT64_MAX chronons"},
+  };
+  const double v = 1.0;
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(tc.message);
+    SequentialRelation rel(1);
+    rel.Append(0, Interval(0, 1), &v);
+    rel.Append(1, tc.t, &v);
+    const Status status = rel.Validate();
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(), tc.message);
+    // Every consumer that validates its input reports the same error.
+    for (const Status& s :
+         {PtaIndex::Build(rel).status(), GmsReduceToSize(rel, 1).status(),
+          ReduceToSizeDp(rel, 2).status(),
+          PtaIndex::FromParts(rel, {}, {}, {}, {0.0}, {}, false).status()}) {
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(s.message(), tc.message);
+    }
+  }
+}
+
+TEST(SegmentTest, ValidateAcceptsChrononExtremes) {
+  const double v[] = {1.0, 4.0, 2.0, 8.0};
+  // The longest intervals whose length() is still representable.
+  SequentialRelation longest(1);
+  longest.Append(0, Interval(kMinChronon, -2), &v[0]);
+  longest.Append(1, Interval(0, kMaxChronon - 1), &v[1]);
+  longest.Append(2, Interval(1, kMaxChronon), &v[2]);
+  EXPECT_TRUE(longest.Validate().ok()) << longest.Validate().ToString();
+  for (size_t i = 0; i < longest.size(); ++i) {
+    EXPECT_EQ(longest.length(i), kMaxChronon) << "segment " << i;
+  }
+
+  // Unit segments at both ends of the chronon domain, one group each
+  // side of a gap, plus a group at the INT64_MIN + 1 / INT64_MAX - 1
+  // edges: every consumer runs, and the index agrees with GMS and DP.
+  SequentialRelation edges(1);
+  edges.Append(0, Interval(kMinChronon, kMinChronon), &v[0]);
+  edges.Append(0, Interval(kMinChronon + 1, kMinChronon + 1), &v[1]);
+  edges.Append(0, Interval(kMaxChronon - 1, kMaxChronon - 1), &v[2]);
+  edges.Append(0, Interval(kMaxChronon, kMaxChronon), &v[3]);
+  edges.Append(1, Interval(kMinChronon + 1, kMinChronon + 1), &v[0]);
+  edges.Append(1, Interval(kMaxChronon - 1, kMaxChronon - 1), &v[1]);
+  ASSERT_TRUE(edges.Validate().ok()) << edges.Validate().ToString();
+  EXPECT_EQ(edges.CMin(), 4u);
+  auto index = PtaIndex::Build(edges);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  for (size_t c = edges.CMin(); c <= edges.size(); ++c) {
+    auto cut = index->CutToSize(c);
+    auto gms = GmsReduceToSize(edges, c);
+    auto dp = ReduceToSizeDp(edges, c);
+    ASSERT_TRUE(cut.ok() && gms.ok() && dp.ok()) << "c=" << c;
+    testing::ExpectByteIdentical(cut->relation, gms->relation);
+    EXPECT_EQ(cut->error, gms->error) << "c=" << c;
+    EXPECT_EQ(dp->relation.size(), gms->relation.size()) << "c=" << c;
   }
 }
 

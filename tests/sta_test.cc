@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "test_util.h"
 
 namespace pta {
@@ -83,6 +85,30 @@ TEST(StaTest, RejectsInvalidSpecs) {
   // Non-numeric aggregate attribute.
   EXPECT_FALSE(
       Sta(proj, {{"Proj"}, {Avg("Empl", "A")}, {Interval(1, 4)}}).ok());
+}
+
+TEST(StaTest, RejectsNaNGroupingValues) {
+  // A NaN key has no place in the bucket order; STA names the offending
+  // tuple exactly as ITA does instead of corrupting the group map.
+  TemporalRelation rel{Schema({{"G", ValueType::kDouble},
+                               {"V", ValueType::kInt64}})};
+  ASSERT_TRUE(rel.Insert({Value(1.0), Value(1)}, Interval(0, 4)).ok());
+  ASSERT_TRUE(rel.Insert({Value(2.0), Value(2)}, Interval(1, 3)).ok());
+  ASSERT_TRUE(
+      rel.Insert({Value(std::nan("")), Value(3)}, Interval(2, 6)).ok());
+  for (const AggregateSpec& agg : {Sum("V", "S"), Count("N")}) {
+    auto result = Sta(rel, {{"G"}, {agg}, {Interval(0, 3), Interval(4, 7)}});
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(result.status().message(),
+              "grouping attribute 'G' of tuple 2 is NaN");
+  }
+  // Without the NaN tuple the same spec is fine.
+  TemporalRelation clean{rel.schema()};
+  ASSERT_TRUE(clean.Insert({Value(1.0), Value(1)}, Interval(0, 4)).ok());
+  auto ok = Sta(clean, {{"G"}, {Sum("V", "S")}, {Interval(0, 3)}});
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->size(), 1u);
 }
 
 }  // namespace
