@@ -45,7 +45,10 @@ using namespace pta;
 
 using bench::ExactlyEqual;
 
-constexpr int kReps = 5;  // best-of, to damp scheduler noise
+// Best-of runs to damp scheduler noise. Every gated ratio compares the
+// best times of kReps alternating pairs (bench::TimePaired), so a burst of
+// host noise hits both sides.
+constexpr int kReps = 9;
 
 template <typename Fn>
 double BestOf(Fn&& fn) {
@@ -94,20 +97,6 @@ WorkloadResult RunWorkload(const char* name, const SequentialRelation& rel,
   GreedyOptions greedy;
   greedy.delta = GreedyOptions::kDeltaInfinity;
 
-  // --- the status quo: one full greedy re-run per budget ----------------
-  result.greedy_sweep_seconds = BestOf([&] {
-    for (const size_t c : budgets) {
-      RelationSegmentSource source(rel);
-      auto red = GreedyReduceToSize(source, c, greedy);
-      PTA_CHECK_MSG(red.ok(), red.status().message().c_str());
-    }
-  });
-  // One maximal plain greedy run (GMS to cmin) — exactly the merge
-  // sequence the index build records; the build gate compares to this.
-  result.gms_full_run_seconds = BestOf([&] {
-    auto red = GmsReduceToSize(rel, cmin, greedy);
-    PTA_CHECK_MSG(red.ok(), red.status().message().c_str());
-  });
   // The streaming variant of the same run, for context (its early merges
   // keep the heap near c, undercutting full GMS on grouped data).
   result.stream_full_run_seconds = BestOf([&] {
@@ -126,16 +115,39 @@ WorkloadResult RunWorkload(const char* name, const SequentialRelation& rel,
   // an OverSequential-caching artifact and is prepared outside the timer.
   std::vector<SequentialRelation> inputs(kReps, rel);
   size_t next_input = 0;
-  result.build_seconds = BestOf([&] {
-    auto rebuilt = PtaIndex::Build(std::move(inputs[next_input++]), {});
-    PTA_CHECK(rebuilt.ok());
-  });
-  result.cut_sweep_seconds = BestOf([&] {
-    for (const size_t c : budgets) {
-      auto cut = index.CutToSize(c);
-      PTA_CHECK(cut.ok());
-    }
-  });
+  // One maximal plain greedy run (GMS to cmin) — exactly the merge
+  // sequence the index build records; the build gate compares to this.
+  const bench::PairedTiming build = bench::TimePaired(
+      [&] {
+        auto red = GmsReduceToSize(rel, cmin, greedy);
+        PTA_CHECK_MSG(red.ok(), red.status().message().c_str());
+      },
+      [&] {
+        auto rebuilt = PtaIndex::Build(std::move(inputs[next_input++]), {});
+        PTA_CHECK(rebuilt.ok());
+      },
+      kReps);
+  result.gms_full_run_seconds = build.best_a;
+  result.build_seconds = build.best_b;
+  // One cut per budget against the status quo: one full greedy re-run per
+  // budget.
+  const bench::PairedTiming sweep = bench::TimePaired(
+      [&] {
+        for (const size_t c : budgets) {
+          auto cut = index.CutToSize(c);
+          PTA_CHECK(cut.ok());
+        }
+      },
+      [&] {
+        for (const size_t c : budgets) {
+          RelationSegmentSource source(rel);
+          auto red = GreedyReduceToSize(source, c, greedy);
+          PTA_CHECK_MSG(red.ok(), red.status().message().c_str());
+        }
+      },
+      kReps);
+  result.cut_sweep_seconds = sweep.best_a;
+  result.greedy_sweep_seconds = sweep.best_b;
   result.multi_cut_seconds = BestOf([&] {
     auto ladder = index.MultiBudgetCut(budgets);
     PTA_CHECK(ladder.ok());
@@ -197,21 +209,26 @@ GappedBuildResult RunGappedBuild(const SequentialRelation& rel) {
   result.n = rel.size();
   const size_t cmin = rel.CMin();
   Reduction at_cmin;
-  result.gms_full_run_seconds = BestOf([&] {
-    auto red = GmsReduceToSize(rel, cmin);
-    PTA_CHECK_MSG(red.ok(), red.status().message().c_str());
-    at_cmin = std::move(*red);
-  });
   PtaIndexOptions options;
   options.num_threads = 1;
   std::vector<SequentialRelation> inputs(kReps, rel);
   size_t next_input = 0;
   PtaIndexBuildStats stats;
   Result<PtaIndex> index = PtaIndex{};
-  result.build_seconds = BestOf([&] {
-    index = PtaIndex::Build(std::move(inputs[next_input++]), options, &stats);
-    PTA_CHECK(index.ok());
-  });
+  const bench::PairedTiming build = bench::TimePaired(
+      [&] {
+        auto red = GmsReduceToSize(rel, cmin);
+        PTA_CHECK_MSG(red.ok(), red.status().message().c_str());
+        at_cmin = std::move(*red);
+      },
+      [&] {
+        index =
+            PtaIndex::Build(std::move(inputs[next_input++]), options, &stats);
+        PTA_CHECK(index.ok());
+      },
+      kReps);
+  result.gms_full_run_seconds = build.best_a;
+  result.build_seconds = build.best_b;
   result.chunks = stats.chunks;
   auto cut = index->CutToSize(cmin);
   auto half = index->CutToSize(rel.size() / 2);
@@ -251,7 +268,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const size_t n = bench::Scaled(20000, /*minimum=*/800);
+  // The floor keeps --quick's rows at millisecond builds, where the 1.3x
+  // and 10x gates read above timer and thread-pool start-up noise.
+  const size_t n = bench::Scaled(20000, /*minimum=*/10000);
   // Fig. 18(a): gap-free sequential S1 subset, p = 10 — here the streaming
   // greedy reducers coincide with GMS and the identity gate covers them too.
   const SequentialRelation s1 =

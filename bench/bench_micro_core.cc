@@ -45,9 +45,13 @@ void BM_HeapInsertAndMerge(benchmark::State& state) {
     MergeHeap heap(2, {});
     RelationSegmentSource src(rel);
     Segment seg;
+    int32_t tail = MergeHeap::kNoNode;
     while (src.Next(&seg)) {
-      heap.Insert(seg);
-      while (heap.size() > c) heap.MergeTop();
+      tail = heap.Insert(seg, tail);
+      while (heap.size() > c) {
+        if (heap.Peek().node == tail) tail = heap.prev(tail);
+        heap.MergeTop();
+      }
     }
     benchmark::DoNotOptimize(heap.size());
   }

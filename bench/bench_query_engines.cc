@@ -17,6 +17,7 @@
 //
 // Usage: bench_query_engines [--quick]   (also honors PTA_BENCH_SCALE)
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,7 +28,6 @@
 #include "datasets/synthetic.h"
 #include "pta/pta.h"
 #include "pta/stream_api.h"
-#include "util/stopwatch.h"
 #include "util/table_printer.h"
 
 namespace {
@@ -36,31 +36,33 @@ using namespace pta;
 
 using bench::ExactlyEqual;
 
-constexpr int kReps = 3;  // best-of, to damp scheduler noise
-
-// Best wall time of kReps runs of fn(), with fn's last result kept.
-template <typename Fn>
-double BestOf(Fn&& fn, SequentialRelation* out) {
-  double best = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    Stopwatch watch;
-    *out = fn();
-    const double seconds = watch.ElapsedSeconds();
-    if (rep == 0 || seconds < best) best = seconds;
-  }
-  return best;
-}
+// At least kMinPairs direct/builder pairs and kMinSeconds of wall time per
+// engine: cheap rows (about a millisecond at --quick) get hundreds.
+constexpr int kMinPairs = 5;
+constexpr double kMinSeconds = 1.0;
 
 struct EngineRow {
-  const char* name;
-  double direct_seconds = 0.0;
-  double builder_seconds = 0.0;
+  const char* name = "";
+  bench::PairedTiming timing;  // a = direct, b = builder
   bool identical = false;
   double overhead_percent() const {
-    if (direct_seconds <= 0.0) return 0.0;
-    return 100.0 * (builder_seconds - direct_seconds) / direct_seconds;
+    return 100.0 * (timing.median_ratio - 1.0);
   }
 };
+
+// Times direct() against builder() and compares their results byte for
+// byte.
+template <typename Direct, typename Builder>
+EngineRow Measure(const char* name, Direct&& direct, Builder&& builder) {
+  EngineRow row;
+  row.name = name;
+  SequentialRelation direct_out, builder_out;
+  row.timing = bench::TimePaired([&] { direct_out = direct(); },
+                                 [&] { builder_out = builder(); }, kMinPairs,
+                                 kMinSeconds);
+  row.identical = ExactlyEqual(direct_out, builder_out);
+  return row;
+}
 
 }  // namespace
 
@@ -77,7 +79,7 @@ int main(int argc, char** argv) {
   // One query for every engine: per-group averages over a multi-group
   // synthetic relation, reduced to a tenth of the ITA size.
   SyntheticOptions synth;
-  synth.num_tuples = bench::Scaled(20000, /*minimum=*/500);
+  synth.num_tuples = bench::Scaled(20000, /*minimum=*/1500);
   synth.num_dims = 2;
   synth.num_groups = 64;
   synth.max_duration = 20;
@@ -106,125 +108,97 @@ int main(int argc, char** argv) {
 
   std::vector<EngineRow> rows;
 
-  {  // exact_dp
-    EngineRow row{"exact_dp"};
-    SequentialRelation direct, built;
-    row.direct_seconds = BestOf(
-        [&] {
-          auto i = Ita(rel, spec);
-          PTA_CHECK(i.ok());
-          auto r = ReduceToSizeDp(*i, c);
-          PTA_CHECK(r.ok());
-          return std::move(r->relation);
-        },
-        &direct);
-    row.builder_seconds = BestOf(
-        [&] {
-          auto r = PtaQuery::Over(rel)
-                       .Spec(spec)
-                       .Budget(Budget::Size(c))
-                       .Engine(Engine::kExactDp)
-                       .Run();
-          PTA_CHECK(r.ok());
-          return std::move(r->relation);
-        },
-        &built);
-    row.identical = ExactlyEqual(direct, built);
-    rows.push_back(row);
-  }
+  // exact_dp
+  rows.push_back(Measure(
+      "exact_dp",
+      [&] {
+        auto i = Ita(rel, spec);
+        PTA_CHECK(i.ok());
+        auto r = ReduceToSizeDp(*i, c);
+        PTA_CHECK(r.ok());
+        return std::move(r->relation);
+      },
+      [&] {
+        auto r = PtaQuery::Over(rel)
+                     .Spec(spec)
+                     .Budget(Budget::Size(c))
+                     .Engine(Engine::kExactDp)
+                     .Run();
+        PTA_CHECK(r.ok());
+        return std::move(r->relation);
+      }));
 
-  {  // greedy
-    EngineRow row{"greedy"};
-    SequentialRelation direct, built;
-    row.direct_seconds = BestOf(
-        [&] {
-          auto stream = ItaStream::Create(rel, spec);
-          PTA_CHECK(stream.ok());
-          auto r = GreedyReduceToSize(**stream, c);
-          PTA_CHECK(r.ok());
-          return std::move(r->relation);
-        },
-        &direct);
-    row.builder_seconds = BestOf(
-        [&] {
-          auto r = PtaQuery::Over(rel)
-                       .Spec(spec)
-                       .Budget(Budget::Size(c))
-                       .Engine(Engine::kGreedy)
-                       .Run();
-          PTA_CHECK(r.ok());
-          return std::move(r->relation);
-        },
-        &built);
-    row.identical = ExactlyEqual(direct, built);
-    rows.push_back(row);
-  }
+  // greedy
+  rows.push_back(Measure(
+      "greedy",
+      [&] {
+        auto stream = ItaStream::Create(rel, spec);
+        PTA_CHECK(stream.ok());
+        auto r = GreedyReduceToSize(**stream, c);
+        PTA_CHECK(r.ok());
+        return std::move(r->relation);
+      },
+      [&] {
+        auto r = PtaQuery::Over(rel)
+                     .Spec(spec)
+                     .Budget(Budget::Size(c))
+                     .Engine(Engine::kGreedy)
+                     .Run();
+        PTA_CHECK(r.ok());
+        return std::move(r->relation);
+      }));
 
-  {  // parallel
-    EngineRow row{"parallel"};
-    SequentialRelation direct, built;
-    row.direct_seconds = BestOf(
-        [&] {
-          auto stream = ItaStream::Create(rel, spec);
-          PTA_CHECK(stream.ok());
-          auto map = GroupShardMap((*stream)->group_keys(), spec.group_by,
-                                   parallel.shard_by, parallel.num_shards);
-          PTA_CHECK(map.ok());
-          auto shards = ShardedSegmentSource::Partition(
-              **stream, parallel.num_shards, *map);
-          PTA_CHECK(shards.ok());
-          ParallelReduceOptions reduce;
-          reduce.num_threads = parallel.num_threads;
-          auto r = ParallelReduceToSize(*shards, c, reduce);
-          PTA_CHECK(r.ok());
-          return std::move(r->relation);
-        },
-        &direct);
-    row.builder_seconds = BestOf(
-        [&] {
-          auto r = PtaQuery::Over(rel)
-                       .Spec(spec)
-                       .Budget(Budget::Size(c))
-                       .Engine(Engine::kParallel)
-                       .Parallel(parallel)
-                       .Run();
-          PTA_CHECK(r.ok());
-          return std::move(r->relation);
-        },
-        &built);
-    row.identical = ExactlyEqual(direct, built);
-    rows.push_back(row);
-  }
+  // parallel
+  rows.push_back(Measure(
+      "parallel",
+      [&] {
+        auto stream = ItaStream::Create(rel, spec);
+        PTA_CHECK(stream.ok());
+        auto map = GroupShardMap((*stream)->group_keys(), spec.group_by,
+                                 parallel.shard_by, parallel.num_shards);
+        PTA_CHECK(map.ok());
+        auto shards = ShardedSegmentSource::Partition(
+            **stream, parallel.num_shards, *map);
+        PTA_CHECK(shards.ok());
+        ParallelReduceOptions reduce;
+        reduce.num_threads = parallel.num_threads;
+        auto r = ParallelReduceToSize(*shards, c, reduce);
+        PTA_CHECK(r.ok());
+        return std::move(r->relation);
+      },
+      [&] {
+        auto r = PtaQuery::Over(rel)
+                     .Spec(spec)
+                     .Budget(Budget::Size(c))
+                     .Engine(Engine::kParallel)
+                     .Parallel(parallel)
+                     .Run();
+        PTA_CHECK(r.ok());
+        return std::move(r->relation);
+      }));
 
-  {  // streaming (replay of the materialized ITA result, watermark off)
-    EngineRow row{"streaming"};
-    SequentialRelation direct, built;
-    row.direct_seconds = BestOf(
-        [&] {
-          StreamingOptions options;
-          options.size_budget = c;
-          StreamingPtaEngine engine(ita->num_aggregates(), options);
-          PTA_CHECK(engine.IngestChunk(*ita).ok());
-          auto r = engine.Finalize();
-          PTA_CHECK(r.ok());
-          return std::move(*r);
-        },
-        &direct);
-    row.builder_seconds = BestOf(
-        [&] {
-          auto sq = PtaQuery::Stream(ita->num_aggregates())
-                        .Budget(Budget::Size(c))
-                        .Start();
-          PTA_CHECK(sq.ok());
-          PTA_CHECK(sq->IngestChunk(*ita).ok());
-          auto r = sq->Finalize();
-          PTA_CHECK(r.ok());
-          return std::move(*r);
-        },
-        &built);
-    row.identical = ExactlyEqual(direct, built);
-    rows.push_back(row);
-  }
+  // streaming (replay of the materialized ITA result, watermark off)
+  rows.push_back(Measure(
+      "streaming",
+      [&] {
+        StreamingOptions options;
+        options.size_budget = c;
+        StreamingPtaEngine engine(ita->num_aggregates(), options);
+        PTA_CHECK(engine.IngestChunk(*ita).ok());
+        auto r = engine.Finalize();
+        PTA_CHECK(r.ok());
+        return std::move(*r);
+      },
+      [&] {
+        auto sq = PtaQuery::Stream(ita->num_aggregates())
+                      .Budget(Budget::Size(c))
+                      .Start();
+        PTA_CHECK(sq.ok());
+        PTA_CHECK(sq->IngestChunk(*ita).ok());
+        auto r = sq->Finalize();
+        PTA_CHECK(r.ok());
+        return std::move(*r);
+      }));
 
   TablePrinter table(
       {"Engine", "Direct [s]", "Builder [s]", "Overhead", "Identical"});
@@ -239,10 +213,10 @@ int main(int argc, char** argv) {
         "\"segments\": %zu, \"c\": %zu, \"direct_seconds\": %.6f, "
         "\"builder_seconds\": %.6f, \"planner_overhead_percent\": %.3f, "
         "\"identical\": %s}\n",
-        row.name, n, c, row.direct_seconds, row.builder_seconds, overhead,
+        row.name, n, c, row.timing.best_a, row.timing.best_b, overhead,
         row.identical ? "true" : "false");
-    table.AddRow({row.name, TablePrinter::Fmt(row.direct_seconds, 4),
-                  TablePrinter::Fmt(row.builder_seconds, 4),
+    table.AddRow({row.name, TablePrinter::Fmt(row.timing.best_a, 4),
+                  TablePrinter::Fmt(row.timing.best_b, 4),
                   TablePrinter::FmtPercent(overhead, 2),
                   row.identical ? "yes" : "NO"});
   }

@@ -8,6 +8,7 @@
 #ifndef PTA_BENCH_BENCH_UTIL_H_
 #define PTA_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "pta/segment.h"
+#include "util/stopwatch.h"
 
 namespace pta {
 namespace bench {
@@ -40,6 +42,44 @@ inline bool ExactlyEqual(const SequentialRelation& a,
     }
   }
   return true;
+}
+
+/// \brief Paired wall times of two code paths a timing gate compares.
+struct PairedTiming {
+  /// Best wall time of each side.
+  double best_a = 0.0;
+  double best_b = 0.0;
+  /// Median over the pairs of b's time divided by a's.
+  double median_ratio = 0.0;
+};
+
+/// Runs a() and b() alternately, at least `min_pairs` times and for at
+/// least `min_seconds` in total. Gates read median_ratio: pairing lets a
+/// burst of host noise hit both sides of one ratio, and the median ignores
+/// the pairs it skews anyway. A ratio of two best-of times does neither —
+/// one lucky run on a loaded host swings it by tens of percent when the
+/// runs are sub-millisecond or multi-threaded.
+template <typename A, typename B>
+PairedTiming TimePaired(A&& a, B&& b, int min_pairs, double min_seconds = 0.0) {
+  PairedTiming out;
+  std::vector<double> ratios;
+  const Stopwatch total;
+  for (int pair = 0; pair < min_pairs || total.ElapsedSeconds() < min_seconds;
+       ++pair) {
+    const Stopwatch watch_a;
+    a();
+    const double ta = watch_a.ElapsedSeconds();
+    const Stopwatch watch_b;
+    b();
+    const double tb = watch_b.ElapsedSeconds();
+    if (pair == 0 || ta < out.best_a) out.best_a = ta;
+    if (pair == 0 || tb < out.best_b) out.best_b = tb;
+    ratios.push_back(tb / ta);
+  }
+  std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
+                   ratios.end());
+  out.median_ratio = ratios[ratios.size() / 2];
+  return out;
 }
 
 /// PTA_BENCH_SCALE (default 1.0), clamped to [0.01, 1000].

@@ -138,10 +138,9 @@ Result<SequentialRelation> Reaggregate(const PtaIndex& index,
     have[static_cast<size_t>(x)] = 1;
   }
 
-  // Replay the merges between the two levels with the merge heap's exact
-  // arithmetic (merge_heap.cc: fold the later node into the earlier one,
-  // weighted by covered chronons). Same inputs, same operations — the
-  // replayed payloads are bitwise the recorded ones.
+  // Replay the merges between the two levels with the merge heap's fold
+  // (MergedValue, weighted by covered chronons). Same inputs, same
+  // operations — the replayed payloads are bitwise the recorded ones.
   const auto& nodes = index.merge_nodes();
   for (size_t j = m_f + 1; j <= m_c; ++j) {
     const PtaIndex::MergeNode& node = nodes[j - 1];
@@ -157,7 +156,7 @@ Result<SequentialRelation> Reaggregate(const PtaIndex& index,
     const double ln = static_cast<double>(d.covered[r]);
     for (size_t dim = 0; dim < p; ++dim) {
       values[x * p + dim] =
-          (lp * values[l * p + dim] + ln * values[r * p + dim]) / (lp + ln);
+          MergedValue(lp, values[l * p + dim], ln, values[r * p + dim]);
     }
     have[x] = 1;
   }

@@ -8,11 +8,8 @@
 // refinement. MultiResolution makes that property *checked*, not just
 // true on paper: after MultiBudgetCut it re-aggregates each finer level
 // into the next coarser one by replaying the dendrogram merges with the
-// merge heap's own arithmetic,
-//
-//     v = (l_a * v_a + l_b * v_b) / (l_a + l_b)
-//
-// over covered chronons, and demands bitwise equality
+// merge heap's own fold (MergedValue in pta/error.h, Def. 3, weighted by
+// covered chronons), and demands bitwise equality
 // (SequentialRelation::BitwiseEquals) with the index's own cut. The
 // finest level is anchored the same way against the full-resolution
 // input. A mismatch is a FailedPrecondition — it would mean the recorded
@@ -35,7 +32,7 @@ namespace advisor {
 /// Re-aggregates `finer` — which must be the index's cut at finer.size()
 /// segments (the input itself qualifies, as the cut at size n) — up to
 /// `coarse_size` by replaying the dendrogram's merges with the merge
-/// heap's arithmetic. The result is bitwise equal to the index's own cut
+/// heap's fold (MergedValue). The result is bitwise equal to the index's own cut
 /// at coarse_size: the bottom-up reconciliation property.
 [[nodiscard]] Result<SequentialRelation> Reaggregate(const PtaIndex& index,
                                        const SequentialRelation& finer,

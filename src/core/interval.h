@@ -64,6 +64,14 @@ struct Interval {
   std::string ToString() const;
 };
 
+/// True if [begin, end] is proper and its length (end - begin + 1) fits in
+/// int64_t. The difference is taken unsigned, where it cannot overflow.
+inline bool LengthFitsInt64(Chronon begin, Chronon end) {
+  return begin <= end &&
+         static_cast<uint64_t>(end) - static_cast<uint64_t>(begin) <
+             static_cast<uint64_t>(INT64_MAX);
+}
+
 }  // namespace pta
 
 #endif  // PTA_CORE_INTERVAL_H_

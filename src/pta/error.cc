@@ -26,7 +26,7 @@ Segment MergeSegments(const Segment& a, const Segment& b) {
   const double la = static_cast<double>(a.t.length());
   const double lb = static_cast<double>(b.t.length());
   for (size_t d = 0; d < a.values.size(); ++d) {
-    out.values[d] = (la * a.values[d] + lb * b.values[d]) / (la + lb);
+    out.values[d] = MergedValue(la, a.values[d], lb, b.values[d]);
   }
   return out;
 }

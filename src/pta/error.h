@@ -38,6 +38,16 @@ std::vector<double> WeightsOrOnes(size_t p, const std::vector<double>& weights);
 /// timestamp is the concatenation; each value is the length-weighted average.
 Segment MergeSegments(const Segment& a, const Segment& b);
 
+/// \brief The value fold of the merge operator ⊕ (Def. 3): the average of
+/// `a` over `la` chronons and `b` over `lb` chronons.
+///
+/// The one statement of the formula. MergeSegments, the merge heap
+/// (pta/merge_heap.h) and the advisor's dendrogram replay all call it, so
+/// every engine folds bit for bit alike.
+inline double MergedValue(double la, double a, double lb, double b) {
+  return (la * a + lb * b) / (la + lb);
+}
+
 /// \brief Pairwise dissimilarity dsim(a, b) (Prop. 2).
 ///
 /// The SSE increase caused by merging two adjacent (possibly already merged)

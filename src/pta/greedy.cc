@@ -6,16 +6,6 @@ namespace pta {
 
 namespace {
 
-// True when the top node satisfies the delta read-ahead heuristic
-// (Sec. 6.2.1): at least `delta` tuples follow it through adjacent pairs.
-// delta = infinity disables the heuristic entirely (only the provably safe
-// merge conditions remain), delta = 0 always allows merging.
-bool TopHasDeltaSuccessors(const MergeHeap& heap, size_t delta) {
-  if (delta == GreedyOptions::kDeltaInfinity) return false;
-  if (delta == 0) return true;
-  return heap.CountAdjacentSuccessorsOfTop(delta) >= delta;
-}
-
 void FillStats(const MergeHeap& heap, size_t merges, size_t early_merges,
                GreedyStats* stats) {
   if (stats == nullptr) return;
@@ -79,7 +69,12 @@ Result<Reduction> GmsReduceToSize(const SequentialRelation& ita, size_t c,
                  options.merge_across_gaps);
   Segment seg;
   RelationSegmentSource src(ita);
-  while (src.Next(&seg)) heap.Insert(seg);
+  int32_t head = MergeHeap::kNoNode;
+  int32_t tail = MergeHeap::kNoNode;
+  while (src.Next(&seg)) {
+    tail = heap.Insert(seg, tail);
+    if (head == MergeHeap::kNoNode) head = tail;
+  }
 
   double total = 0.0;
   size_t merges = 0;
@@ -93,7 +88,7 @@ Result<Reduction> GmsReduceToSize(const SequentialRelation& ita, size_t c,
     ++merges;
   }
   FillStats(heap, merges, 0, stats);
-  Reduction out{heap.ExtractRelation(), total};
+  Reduction out{heap.ExtractRelation(head), total};
   out.relation.SetGroupKeys(ita.group_keys());
   out.relation.SetValueNames(ita.value_names());
   return out;
@@ -113,7 +108,12 @@ Result<Reduction> GmsReduceToError(const SequentialRelation& ita, double eps,
                  options.merge_across_gaps);
   Segment seg;
   RelationSegmentSource src(ita);
-  while (src.Next(&seg)) heap.Insert(seg);
+  int32_t head = MergeHeap::kNoNode;
+  int32_t tail = MergeHeap::kNoNode;
+  while (src.Next(&seg)) {
+    tail = heap.Insert(seg, tail);
+    if (head == MergeHeap::kNoNode) head = tail;
+  }
 
   double total = 0.0;
   size_t merges = 0;
@@ -124,7 +124,7 @@ Result<Reduction> GmsReduceToError(const SequentialRelation& ita, double eps,
     ++merges;
   }
   FillStats(heap, merges, 0, stats);
-  Reduction out{heap.ExtractRelation(), total};
+  Reduction out{heap.ExtractRelation(head), total};
   out.relation.SetGroupKeys(ita.group_keys());
   out.relation.SetValueNames(ita.value_names());
   return out;
@@ -138,55 +138,30 @@ Result<Reduction> GreedyReduceToSize(SegmentSource& source, size_t c,
   }
   MergeHeap heap(source.num_aggregates(), options.weights,
                  options.merge_across_gaps);
-  int64_t last_gap_id = 0;
-  int64_t before_gap = 0;  // BG: live tuples preceding the last gap node
-  int64_t after_gap = 0;   // AG: live tuples from the last gap node onward
   double total = 0.0;
   size_t merges = 0;
   size_t early_merges = 0;
 
   Segment seg;
+  int32_t head = MergeHeap::kNoNode;
+  int32_t tail = MergeHeap::kNoNode;
   while (source.Next(&seg)) {
-    int64_t id = 0;
-    const double key = heap.Insert(seg, &id);
-    if (key == kInfiniteError) {
-      // A non-adjacent pair (or the first tuple) marks a merge boundary.
-      last_gap_id = id;
-      before_gap += after_gap;
-      after_gap = 1;
-    } else {
-      ++after_gap;
-    }
-
+    tail = heap.Insert(seg, tail);
+    if (head == MergeHeap::kNoNode) head = tail;
     while (options.eager && heap.size() > c) {
       const MergeHeap::TopInfo top = heap.Peek();
       // An infinite top key means every live pair is non-adjacent; nothing
       // can merge until more tuples arrive (if c < cmin, the final drain
       // reports the error).
-      if (top.key == kInfiniteError) break;
-      if (top.id < last_gap_id && before_gap > static_cast<int64_t>(c)) {
-        // Prop. 3: a later non-adjacent pair exists and *more than* c live
-        // tuples precede it, so GMS is forced to perform this merge too
-        // (the post-gap region keeps at least one tuple, capping the final
-        // pre-gap count at c - 1). The bound is strict: merging while
-        // before_gap == c would take the pre-gap region down to c - 1 one
-        // step before the stream proves the step is needed, and the merge's
-        // re-keying can expose a cheaper pair to the final drain than GMS
-        // ever sees at its stop-at-c cutoff — the budget-boundary bug the
-        // PtaIndex regression sweep caught.
-        --before_gap;
-        total += heap.MergeTop();
-        ++merges;
-        ++early_merges;
-      } else if (top.id > last_gap_id &&
-                 TopHasDeltaSuccessors(heap, options.delta)) {
-        --after_gap;
-        total += heap.MergeTop();
-        ++merges;
-        ++early_merges;
-      } else {
+      if (top.key == kInfiniteError ||
+          heap.ClassifyTop(static_cast<int64_t>(c), options.delta) ==
+              MergeHeap::EarlyMerge::kNone) {
         break;
       }
+      if (top.node == tail) tail = heap.prev(tail);
+      total += heap.EarlyMergeTop();
+      ++merges;
+      ++early_merges;
     }
   }
 
@@ -201,7 +176,7 @@ Result<Reduction> GreedyReduceToSize(SegmentSource& source, size_t c,
     ++merges;
   }
   FillStats(heap, merges, early_merges, stats);
-  return Reduction{heap.ExtractRelation(), total};
+  return Reduction{heap.ExtractRelation(head), total};
 }
 
 Result<Reduction> GreedyReduceToError(SegmentSource& source, double eps,
@@ -226,45 +201,31 @@ Result<Reduction> GreedyReduceToError(SegmentSource& source, double eps,
   MergeHeap heap(source.num_aggregates(), options.weights,
                  options.merge_across_gaps);
   RunErrorAccumulator run(source.num_aggregates(), options.weights);
-  int64_t last_gap_id = 0;
-  int64_t before_gap = 0;
-  int64_t after_gap = 0;
   double total = 0.0;
   double emax = 0.0;  // exact Emax, finalized once the stream ends
   size_t merges = 0;
   size_t early_merges = 0;
 
   Segment seg;
+  int32_t head = MergeHeap::kNoNode;
+  int32_t tail = MergeHeap::kNoNode;
   while (source.Next(&seg)) {
-    int64_t id = 0;
-    const double key = heap.Insert(seg, &id);
-    if (key == kInfiniteError) {
-      last_gap_id = id;
-      before_gap += after_gap;
-      after_gap = 1;
-      emax += run.FinishAndReset();
-    } else {
-      ++after_gap;
-    }
+    tail = heap.Insert(seg, tail);
+    if (head == MergeHeap::kNoNode) head = tail;
+    if (heap.key(tail) == kInfiniteError) emax += run.FinishAndReset();
     run.Add(seg);
 
     while (options.eager && !heap.empty()) {
       const MergeHeap::TopInfo top = heap.Peek();
-      if (top.key > step_budget) break;  // also breaks on infinite keys
-      if (top.id < last_gap_id) {
-        --before_gap;
-        total += heap.MergeTop();
-        ++merges;
-        ++early_merges;
-      } else if (top.id > last_gap_id &&
-                 TopHasDeltaSuccessors(heap, options.delta)) {
-        --after_gap;
-        total += heap.MergeTop();
-        ++merges;
-        ++early_merges;
-      } else {
+      // The step budget also stops on infinite keys.
+      if (top.key > step_budget ||
+          heap.ClassifyTop(0, options.delta) == MergeHeap::EarlyMerge::kNone) {
         break;
       }
+      if (top.node == tail) tail = heap.prev(tail);
+      total += heap.EarlyMergeTop();
+      ++merges;
+      ++early_merges;
     }
   }
   emax += run.FinishAndReset();
@@ -279,7 +240,7 @@ Result<Reduction> GreedyReduceToError(SegmentSource& source, double eps,
     ++merges;
   }
   FillStats(heap, merges, early_merges, stats);
-  return Reduction{heap.ExtractRelation(), total};
+  return Reduction{heap.ExtractRelation(head), total};
 }
 
 }  // namespace pta

@@ -7,9 +7,11 @@
 //
 // GreedyReduceToSize (gPTAc, Fig. 11) and GreedyReduceToError (gPTAε,
 // Fig. 13) consume a SegmentSource and merge while ITA tuples are still
-// being produced, keeping only c + beta live tuples. Safe early merges are
-// identified by Prop. 3 (strictly: only while more than c live tuples
-// precede the last gap — see the boundary note in greedy.cc) and Prop. 4;
+// being produced, keeping only c + beta live tuples. All four are thin
+// drivers over one merge core (pta/merge_heap.h), which the streaming
+// engine and the index recorder share. Safe early merges are identified by
+// Prop. 3 (strictly: only while more than c live tuples precede the last
+// gap — see MergeHeap::ClassifyTop) and Prop. 4;
 // the read-ahead parameter delta trades a slightly larger heap for results
 // closer to GMS (delta = infinity tracks GMS, Theorems 2 and 3, exactly so
 // on gap-free input where no early merge ever fires; greedy_test.cc

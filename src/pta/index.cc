@@ -71,11 +71,12 @@ void RunChunk(const SequentialRelation& rel, size_t begin, size_t end,
   MergeHeap heap(p, options.weights, options.merge_across_gaps);
   Segment seg;
   seg.values.resize(p);
+  int32_t tail = MergeHeap::kNoNode;
   for (size_t i = begin; i < end; ++i) {
     seg.group = rel.group(i);
     seg.t = rel.interval(i);
     std::copy(rel.values(i), rel.values(i) + p, seg.values.begin());
-    heap.Insert(seg);
+    tail = heap.Insert(seg, tail);
   }
   log->merges.reserve(end - begin);
   log->values.reserve((end - begin) * p);
@@ -310,11 +311,12 @@ Result<PtaIndex> PtaIndex::Build(SequentialRelation input,
     MergeHeap heap(p, options.weights, options.merge_across_gaps);
     Segment seg;
     seg.values.resize(p);
+    int32_t tail = MergeHeap::kNoNode;
     for (size_t i = 0; i < n; ++i) {
       seg.group = rel.group(i);
       seg.t = rel.interval(i);
       std::copy(rel.values(i), rel.values(i) + p, seg.values.begin());
-      heap.Insert(seg);
+      tail = heap.Insert(seg, tail);
     }
     double running = 0.0;
     while (!heap.empty() && heap.Peek().key < kInfiniteError) {

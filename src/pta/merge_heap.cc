@@ -1,5 +1,7 @@
 #include "pta/merge_heap.h"
 
+#include "pta/greedy.h"
+
 namespace pta {
 
 MergeHeap::MergeHeap(size_t p, const std::vector<double>& weights,
@@ -83,42 +85,105 @@ void MergeHeap::Rekey(int32_t h, double new_key) {
   }
 }
 
-double MergeHeap::Insert(const Segment& seg, int64_t* id) {
-  PTA_CHECK_MSG(seg.values.size() == p_, "segment arity mismatch");
+int32_t MergeHeap::InsertRestored(int32_t after, int64_t id, int32_t group,
+                                  const Interval& t, int64_t covered,
+                                  const double* values) {
+  if (after >= 0) {
+    const Node& tail = nodes_[after];
+    PTA_CHECK_MSG(tail.next < 0 &&
+                      (tail.group < group ||
+                       (tail.group == group && tail.t.end < t.begin)),
+                  "segments must arrive sorted by group then time");
+  }
   const int32_t h = AllocNode();
   Node& node = nodes_[h];
-  node.id = next_id_++;
-  node.group = seg.group;
-  node.t = seg.t;
-  node.covered = seg.t.length();
-  node.prev = tail_;
+  node.id = id;
+  node.group = group;
+  node.t = t;
+  node.covered = covered;
+  node.prev = after;
   node.next = -1;
-  for (size_t d = 0; d < p_; ++d) ValuesOf(h)[d] = seg.values[d];
-  if (tail_ >= 0) {
-    PTA_CHECK_MSG(
-        nodes_[tail_].group < seg.group ||
-            (nodes_[tail_].group == seg.group &&
-             nodes_[tail_].t.end < seg.t.begin),
-        "segments must arrive sorted by group then time");
-    nodes_[tail_].next = h;
-  } else {
-    head_ = h;
-  }
-  tail_ = h;
-  node.key = KeyFor(node.prev, h);
+  for (size_t d = 0; d < p_; ++d) ValuesOf(h)[d] = values[d];
+  if (after >= 0) nodes_[after].next = h;
+  node.key = KeyFor(after, h);
 
   heap_.push_back(h);
   node.heap_pos = static_cast<int32_t>(heap_.size() - 1);
   SiftUp(heap_.size() - 1);
   if (heap_.size() > max_size_) max_size_ = heap_.size();
-  if (id != nullptr) *id = node.id;
-  return node.key;
+  return h;
+}
+
+int32_t MergeHeap::Insert(const Segment& seg, int32_t after) {
+  PTA_CHECK_MSG(seg.values.size() == p_, "segment arity mismatch");
+  const int64_t id = next_id_++;
+  const int32_t h = InsertRestored(after, id, seg.group, seg.t,
+                                   seg.t.length(), seg.values.data());
+  if (nodes_[h].key == kInfiniteError) {
+    // A non-adjacent pair (or a chain head) marks a merge boundary.
+    last_gap_id_ = id;
+    before_gap_ += after_gap_;
+    after_gap_ = 1;
+  } else {
+    ++after_gap_;
+  }
+  return h;
+}
+
+void MergeHeap::RestoreCounters(int64_t next_id, int64_t last_gap_id,
+                                int64_t before_gap, int64_t after_gap) {
+  next_id_ = next_id;
+  last_gap_id_ = last_gap_id;
+  before_gap_ = before_gap;
+  after_gap_ = after_gap;
 }
 
 MergeHeap::TopInfo MergeHeap::Peek() const {
   PTA_CHECK_MSG(!heap_.empty(), "Peek on empty heap");
-  const Node& node = nodes_[heap_[0]];
-  return {node.id, node.key};
+  const int32_t h = heap_[0];
+  return {nodes_[h].id, nodes_[h].key, h};
+}
+
+bool MergeHeap::TopHasDeltaSuccessors(size_t delta) const {
+  if (delta == GreedyOptions::kDeltaInfinity) return false;
+  size_t count = 0;
+  int32_t cur = heap_[0];
+  while (count < delta) {
+    const int32_t next = nodes_[cur].next;
+    if (next < 0 || !Mergeable(nodes_[cur], nodes_[next])) break;
+    cur = next;
+    ++count;
+  }
+  return count >= delta;
+}
+
+MergeHeap::EarlyMerge MergeHeap::ClassifyTop(int64_t pre_gap_floor,
+                                             size_t delta) const {
+  PTA_CHECK_MSG(!heap_.empty(), "ClassifyTop on empty heap");
+  const int64_t id = nodes_[heap_[0]].id;
+  // Prop. 3: a later non-adjacent pair exists and *more than* the floor's
+  // live tuples precede it, so GMS is forced to perform this merge too (the
+  // post-gap region keeps at least one tuple, capping the final pre-gap
+  // count at c - 1). The bound is strict: merging while before_gap == c
+  // would take the pre-gap region down to c - 1 one step before the stream
+  // proves the step is needed, and the merge's re-keying can expose a
+  // cheaper pair to the final drain than GMS ever sees at its stop-at-c
+  // cutoff — the budget-boundary bug the PtaIndex regression sweep caught.
+  if (id < last_gap_id_ && before_gap_ > pre_gap_floor) {
+    return EarlyMerge::kPreGap;
+  }
+  if (id > last_gap_id_ && TopHasDeltaSuccessors(delta)) {
+    return EarlyMerge::kPostGap;
+  }
+  return EarlyMerge::kNone;
+}
+
+void MergeHeap::Uncount(int64_t id) {
+  if (id < last_gap_id_) {
+    if (before_gap_ > 0) --before_gap_;
+  } else if (after_gap_ > 0) {
+    --after_gap_;
+  }
 }
 
 double MergeHeap::MergeTop(MergeRecord* record) {
@@ -142,9 +207,7 @@ double MergeHeap::MergeTop(MergeRecord* record) {
   const double ln = static_cast<double>(n.covered);
   double* pv = ValuesOf(ph);
   const double* nv = ValuesOf(nh);
-  for (size_t d = 0; d < p_; ++d) {
-    pv[d] = (lp * pv[d] + ln * nv[d]) / (lp + ln);
-  }
+  for (size_t d = 0; d < p_; ++d) pv[d] = MergedValue(lp, pv[d], ln, nv[d]);
   p.t.end = n.t.end;
   p.covered += n.covered;
   if (record != nullptr) {
@@ -155,11 +218,7 @@ double MergeHeap::MergeTop(MergeRecord* record) {
 
   // Unlink N.
   p.next = n.next;
-  if (n.next >= 0) {
-    nodes_[n.next].prev = ph;
-  } else {
-    tail_ = ph;
-  }
+  if (n.next >= 0) nodes_[n.next].prev = ph;
   HeapRemove(0);
   FreeNode(nh);
 
@@ -170,39 +229,36 @@ double MergeHeap::MergeTop(MergeRecord* record) {
   return introduced;
 }
 
-size_t MergeHeap::CountAdjacentSuccessorsOfTop(size_t limit) const {
-  PTA_CHECK_MSG(!heap_.empty(), "empty heap");
-  size_t count = 0;
-  int32_t cur = heap_[0];
-  while (count < limit) {
-    const int32_t next = nodes_[cur].next;
-    if (next < 0) break;
-    if (!Mergeable(nodes_[cur], nodes_[next])) break;
-    cur = next;
-    ++count;
-  }
-  return count;
+double MergeHeap::EarlyMergeTop() {
+  PTA_CHECK_MSG(!heap_.empty(), "EarlyMergeTop on empty heap");
+  Uncount(nodes_[heap_[0]].id);
+  return MergeTop();
 }
 
-std::vector<Segment> MergeHeap::ExtractSegments() const {
-  std::vector<Segment> out;
-  out.reserve(heap_.size());
-  for (int32_t h = head_; h >= 0; h = nodes_[h].next) {
-    Segment seg;
-    seg.group = nodes_[h].group;
-    seg.t = nodes_[h].t;
-    seg.values.assign(ValuesOf(h), ValuesOf(h) + p_);
-    out.push_back(std::move(seg));
+int32_t MergeHeap::RemoveHead(int32_t h) {
+  Node& node = nodes_[h];
+  PTA_CHECK_MSG(node.prev < 0, "RemoveHead on a non-head node");
+  Uncount(node.id);
+  const int32_t next = node.next;
+  HeapRemove(static_cast<size_t>(node.heap_pos));
+  FreeNode(h);
+  if (next >= 0) {
+    nodes_[next].prev = -1;
+    Rekey(next, kInfiniteError);  // the new head cannot merge down
   }
-  return out;
+  return next;
 }
 
-SequentialRelation MergeHeap::ExtractRelation() const {
+void MergeHeap::AppendChain(int32_t head, SequentialRelation* out) const {
+  for (int32_t h = head; h >= 0; h = nodes_[h].next) {
+    out->Append(nodes_[h].group, nodes_[h].t, ValuesOf(h));
+  }
+}
+
+SequentialRelation MergeHeap::ExtractRelation(int32_t head) const {
   SequentialRelation rel(p_);
   rel.Reserve(heap_.size());
-  for (int32_t h = head_; h >= 0; h = nodes_[h].next) {
-    rel.Append(nodes_[h].group, nodes_[h].t, ValuesOf(h));
-  }
+  AppendChain(head, &rel);
   return rel;
 }
 

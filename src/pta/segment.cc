@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <string>
 
 namespace pta {
@@ -71,24 +70,36 @@ Status SequentialRelation::Validate() const {
     if (t.begin > t.end) {
       return Status::InvalidArgument("inverted interval " + where());
     }
-    // length() = end - begin + 1 must fit in int64_t; the difference is
-    // taken unsigned, where it cannot overflow.
-    if (static_cast<uint64_t>(t.end) - static_cast<uint64_t>(t.begin) >=
-        static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+    if (!LengthFitsInt64(t.begin, t.end)) {
       return Status::InvalidArgument("interval " + where() +
                                      " is longer than INT64_MAX chronons");
     }
   }
+  // Merging sums lengths within a group (covered counts, Dsim's la + lb),
+  // so each group's total length must fit in int64_t too. Every length
+  // does (checked above), so a running sum of two cannot wrap uint64_t.
+  uint64_t group_length = size() == 0 ? 0 : intervals_[0].length();
   for (size_t i = 0; i + 1 < size(); ++i) {
     if (groups_[i] > groups_[i + 1]) {
       return Status::FailedPrecondition(
           "segments not sorted by group at position " + std::to_string(i));
     }
-    if (groups_[i] == groups_[i + 1] &&
-        intervals_[i].end >= intervals_[i + 1].begin) {
+    const uint64_t length = static_cast<uint64_t>(intervals_[i + 1].length());
+    if (groups_[i] != groups_[i + 1]) {
+      group_length = length;
+      continue;
+    }
+    if (intervals_[i].end >= intervals_[i + 1].begin) {
       return Status::FailedPrecondition(
           "segments overlap or are unsorted within group at position " +
           std::to_string(i));
+    }
+    group_length += length;
+    if (group_length > static_cast<uint64_t>(INT64_MAX)) {
+      return Status::InvalidArgument(
+          "group " + std::to_string(groups_[i]) +
+          " covers more than INT64_MAX chronons by segment " +
+          std::to_string(i + 1));
     }
   }
   for (size_t k = 0; k < values_.size(); ++k) {

@@ -4,17 +4,17 @@
 // The snapshot captures everything behavior-relevant bitwise — options,
 // watermark, Prop. 3 counters, stats, per-group pending emissions, and the
 // live merge chains with their node ids (the merge tie-breaker), covered
-// chronon counts, and current keys. Reconstruction artifacts (chain links,
-// heap candidates, node versions, slot numbers) are rebuilt, not stored:
-// a restored engine's valid-candidate set is exactly the live finite-key
-// nodes, which is also what the original engine's heap reduces to after
-// lazy invalidation, so the replay is byte-identical to an uninterrupted
-// run. Every restored key is recomputed with KeyFor and verified against
-// the stored bits, turning any inconsistency into a structured error.
+// chronon counts, and current keys. Node handles and heap positions are
+// not stored: restore sends every live row back through the merge core's
+// insert path (MergeHeap::InsertRestored), whose heap orders the same
+// (key, id) pairs as the saved one, so the replay is byte-identical to an
+// uninterrupted run. Every recomputed key is verified against the stored
+// bits, turning any inconsistency into a structured error.
 //
 // Format version 1 ("PTASNAPS", little-endian, Checksum64 footer); the
 // byte layout is documented in docs/PERSISTENCE.md.
 
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -47,11 +47,18 @@ uint64_t BitsOf(double v) {
   return b;
 }
 
+bool AllFinite(const std::vector<double>& values) {
+  for (const double v : values) {
+    if (!std::isfinite(v)) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 std::string StreamingPtaEngine::SaveSnapshot() const {
   std::string out;
-  out.reserve(kHeaderBytes + (pending_ + live_) * (32 + 8 * p_) +
+  out.reserve(kHeaderBytes + (pending_ + heap_.size()) * (32 + 8 * p_) +
               64 * groups_.size() + 128);
   io::ByteWriter w(&out);
 
@@ -70,10 +77,10 @@ std::string StreamingPtaEngine::SaveSnapshot() const {
   w.I64(options_.auto_watermark_lag);
   w.I64(watermark_);
   w.I64(max_begin_seen_);
-  w.I64(next_id_);
-  w.I64(last_gap_id_);
-  w.I64(before_gap_);
-  w.I64(after_gap_);
+  w.I64(heap_.next_id());
+  w.I64(heap_.last_gap_id());
+  w.I64(heap_.before_gap());
+  w.I64(heap_.after_gap());
 
   w.U64(stats_.ingested);
   w.U64(stats_.merges);
@@ -88,21 +95,20 @@ std::string StreamingPtaEngine::SaveSnapshot() const {
     w.I32(group_id);
     w.U64(group.pending.size());
     size_t chain = 0;
-    for (int32_t h = group.head; h >= 0; h = nodes_[h].next) ++chain;
+    for (int32_t h = group.head; h >= 0; h = heap_.next(h)) ++chain;
     w.U64(chain);
     for (const Segment& seg : group.pending) {
       w.I64(seg.t.begin);
       w.I64(seg.t.end);
       w.F64Array(seg.values.data(), seg.values.size());
     }
-    for (int32_t h = group.head; h >= 0; h = nodes_[h].next) {
-      const Node& node = nodes_[h];
-      w.I64(node.id);
-      w.I64(node.t.begin);
-      w.I64(node.t.end);
-      w.I64(node.covered);
-      w.F64(node.key);
-      w.F64Array(ValuesOf(h), p_);
+    for (int32_t h = group.head; h >= 0; h = heap_.next(h)) {
+      w.I64(heap_.id(h));
+      w.I64(heap_.interval(h).begin);
+      w.I64(heap_.interval(h).end);
+      w.I64(heap_.covered(h));
+      w.F64(heap_.key(h));
+      w.F64Array(heap_.values(h), p_);
     }
   }
 
@@ -202,10 +208,6 @@ StreamingPtaEngine::RestoreSnapshot(std::string_view bytes) {
                                                      std::move(options));
   engine->watermark_ = watermark;
   engine->max_begin_seen_ = max_begin_seen;
-  engine->next_id_ = next_id;
-  engine->last_gap_id_ = last_gap_id;
-  engine->before_gap_ = before_gap;
-  engine->after_gap_ = after_gap;
   engine->finalized_ = (flags & kFlagFinalized) != 0;
   engine->stats_ = stats;
 
@@ -243,11 +245,13 @@ StreamingPtaEngine::RestoreSnapshot(std::string_view bytes) {
         return Corrupt("truncated pending rows");
       }
       if (seg.t.begin > seg.t.end) return Corrupt("inverted pending interval");
+      if (!AllFinite(seg.values)) return Corrupt("non-finite pending value");
       group.pending.push_back(std::move(seg));
       ++engine->pending_;
     }
 
-    int32_t prev = -1;
+    MergeHeap& heap = engine->heap_;
+    int32_t prev = MergeHeap::kNoNode;
     std::vector<double> row;
     for (uint64_t i = 0; i < num_chain; ++i) {
       int64_t id, begin, end, covered;
@@ -256,60 +260,40 @@ StreamingPtaEngine::RestoreSnapshot(std::string_view bytes) {
           !r.F64(&key)) {
         return Corrupt("truncated chain nodes");
       }
-      if (begin > end) return Corrupt("inverted chain interval");
-      if (covered < 1 || covered > end - begin + 1) {
+      if (!LengthFitsInt64(begin, end)) {
+        return Corrupt("inverted or overlong chain interval");
+      }
+      // Keys sum covered counts within the chain; Ingest keeps the chain's
+      // total within int64_t.
+      if (covered < 1 || covered > end - begin + 1 ||
+          covered > INT64_MAX - group.covered) {
         return Corrupt("implausible covered chronon count");
       }
       if (id < 1 || id >= next_id) return Corrupt("node id out of range");
       if (prev >= 0) {
-        const Node& before = engine->nodes_[prev];
-        if (before.t.end >= begin) {
+        if (heap.interval(prev).end >= begin) {
           return Corrupt("chain intervals overlap or are unsorted");
         }
-        if (before.id >= id) return Corrupt("chain ids not ascending");
+        if (heap.id(prev) >= id) return Corrupt("chain ids not ascending");
       }
-      const int32_t h = engine->AllocNode();
-      Node& node = engine->nodes_[h];
-      node.id = id;
-      node.group = group_id;
-      node.t.begin = begin;
-      node.t.end = end;
-      node.covered = covered;
-      node.prev = prev;
-      node.next = -1;
-      node.alive = true;
-      node.key = key;
       if (!r.F64Array(p, &row)) return Corrupt("truncated chain values");
-      if (p > 0) {
-        std::memcpy(engine->ValuesOf(h), row.data(),
-                    static_cast<size_t>(p) * sizeof(double));
-      }
-      if (prev >= 0) {
-        engine->nodes_[prev].next = h;
-      } else {
-        group.head = h;
-      }
-      group.tail = h;
-      prev = h;
-      ++engine->live_;
-    }
-
-    // Keys are behavior: verify every stored key against a bitwise
-    // recomputation so the restored heap can only ever order the exact
-    // same candidates the uninterrupted engine would.
-    for (int32_t h = group.head; h >= 0; h = engine->nodes_[h].next) {
-      const double expect =
-          engine->KeyFor(engine->nodes_[h].prev, h);
-      if (BitsOf(expect) != BitsOf(engine->nodes_[h].key)) {
+      if (!AllFinite(row)) return Corrupt("non-finite chain value");
+      const int32_t h = heap.InsertRestored(prev, id, group_id,
+                                            Interval(begin, end), covered,
+                                            row.data());
+      // Keys are behavior: the recomputed key must match the stored bits,
+      // so the restored heap orders exactly the candidates the
+      // uninterrupted engine would.
+      if (BitsOf(heap.key(h)) != BitsOf(key)) {
         return Corrupt("stored merge key does not match its recomputation");
       }
-      if (engine->nodes_[h].key < kInfiniteError) {
-        engine->heap_.push(Candidate{engine->nodes_[h].key,
-                                     engine->nodes_[h].id, h,
-                                     engine->nodes_[h].version});
-      }
+      if (prev < 0) group.head = h;
+      group.tail = h;
+      group.covered += covered;
+      prev = h;
     }
   }
+  engine->heap_.RestoreCounters(next_id, last_gap_id, before_gap, after_gap);
   if (r.remaining() != 0) return Corrupt("trailing bytes after snapshot");
 
   return engine;

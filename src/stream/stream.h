@@ -7,13 +7,13 @@
 // into a long-lived service primitive:
 //
 //   * segments arrive chunk by chunk (IngestChunk / Ingest), interleaved
-//     across groups — each group keeps its own chronological merge chain,
-//     so a live feed does not have to be group-major like a materialized
-//     SequentialRelation;
-//   * merge candidates are ordered by the paper's Δ-cost (dsim, Prop. 2)
-//     in a lazy-invalidation min-heap: stale entries are discarded on pop
-//     instead of being re-sifted eagerly like pta/merge_heap.* does, which
-//     keeps per-ingest work O(log live) without intrusive heap positions;
+//     across groups — each group keeps its own chronological chain in the
+//     shared merge core (pta/merge_heap.h), so a live feed does not have
+//     to be group-major like a materialized SequentialRelation;
+//   * merge candidates, their Δ-cost keys (dsim, Prop. 2), the Def. 3 fold
+//     and the Prop. 3 / δ early-merge test are the core's, the same code
+//     gPTAc runs — the engine adds only policy: groups, watermark sealing
+//     and the emission buffer;
 //   * a watermark (AdvanceWatermark) finalizes rows that can no longer
 //     meet any future arrival and moves them to an emission buffer the
 //     caller drains with TakeEmitted — this is what bounds memory on an
@@ -43,7 +43,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <queue>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,6 +50,7 @@
 #include "core/interval.h"
 #include "pta/error.h"
 #include "pta/greedy.h"
+#include "pta/merge_heap.h"
 #include "pta/segment.h"
 // StreamingOptions lives in the pta layer so the query planner can carry
 // streaming tuning without depending on this library.
@@ -94,8 +94,10 @@ class StreamingPtaEngine {
   /// chronologically with disjoint intervals; groups may interleave
   /// freely. Segments must not begin before the current watermark.
   /// Fails with FailedPrecondition on ordering violations and with
-  /// InvalidArgument on a wrong arity or a non-finite value, after which
-  /// the engine state is unchanged (the offending segment is dropped).
+  /// InvalidArgument on a wrong arity, a non-finite value, an inverted
+  /// interval, or a group whose live rows would cover more than INT64_MAX
+  /// chronons, after which the engine state is unchanged (the offending
+  /// segment is dropped).
   [[nodiscard]] Status Ingest(const Segment& seg);
 
   /// Ingests every segment of `chunk` in order, then applies the
@@ -146,17 +148,17 @@ class StreamingPtaEngine {
   /// accumulator state are all preserved bitwise.
   std::string SaveSnapshot() const;
 
-  /// Rebuilds an engine from SaveSnapshot bytes. Chain links, heap
-  /// candidates, and node versions are reconstructed; every restored key
-  /// is recomputed with KeyFor and verified bitwise against the stored
-  /// one. Malformed input (truncation, bit flips, bad magic, future
-  /// version, structural lies) is rejected as InvalidArgument, never a
-  /// crash.
+  /// Rebuilds an engine from SaveSnapshot bytes. Every live row goes back
+  /// through the merge core's insert path with its stored id and covered
+  /// count; the recomputed key is verified bitwise against the stored one.
+  /// Malformed input (truncation, bit flips, bad magic, future version,
+  /// non-finite values, structural lies) is rejected as InvalidArgument,
+  /// never a crash.
   [[nodiscard]] static Result<std::unique_ptr<StreamingPtaEngine>> RestoreSnapshot(
       std::string_view bytes);
 
   /// Live (unsealed, unfinalized) rows currently held.
-  size_t live_rows() const { return live_; }
+  size_t live_rows() const { return heap_.size(); }
   /// Rows sealed but not yet taken by TakeEmitted().
   size_t pending_rows() const { return pending_; }
   /// Cumulative SSE introduced by merging, equal (up to floating-point
@@ -165,102 +167,38 @@ class StreamingPtaEngine {
   const StreamingStats& stats() const { return stats_; }
 
  private:
-  struct Node {
-    int64_t id = 0;  // global insertion sequence, the merge tie-breaker
-    int32_t group = 0;
-    Interval t;
-    int64_t covered = 0;  // chronons actually covered (gap merging)
-    int32_t prev = -1;    // within the group chain
-    int32_t next = -1;
-    uint32_t version = 0;  // bumped whenever key/values change or node dies
-    double key = kInfiniteError;  // dsim with prev; infinity at chain heads
-    bool alive = false;
-  };
-
-  /// One lazily-invalidated candidate: valid iff the node is alive and its
-  /// version still matches. Ordered by (key, id) — the same deterministic
-  /// tie-break as pta/merge_heap.* (smallest timestamp merges first).
-  struct Candidate {
-    double key = kInfiniteError;
-    int64_t id = 0;
-    int32_t node = -1;
-    uint32_t version = 0;
-    bool operator>(const Candidate& other) const {
-      if (key != other.key) return key > other.key;
-      return id > other.id;
-    }
-  };
-
   struct Group {
-    int32_t head = -1;
-    int32_t tail = -1;
+    /// The group's live chain in heap_ (MergeHeap::kNoNode when empty).
+    int32_t head = MergeHeap::kNoNode;
+    int32_t tail = MergeHeap::kNoNode;
+    /// Chronons the live chain covers. Merging sums covered counts within
+    /// the chain, so Ingest keeps this within int64_t.
+    int64_t covered = 0;
     /// Sealed rows awaiting TakeEmitted, chronologically ordered; always a
     /// prefix of the group's history before the live chain.
     std::vector<Segment> pending;
   };
 
-  double* ValuesOf(int32_t h) {
-    return values_.data() + static_cast<size_t>(h) * p_;
-  }
-  const double* ValuesOf(int32_t h) const {
-    return values_.data() + static_cast<size_t>(h) * p_;
-  }
-
-  /// True if b may fold into its chain predecessor a (same group by chain
-  /// construction; gap merging lifts the meets requirement).
-  bool Mergeable(const Node& a, const Node& b) const {
-    return options_.merge_across_gaps || a.t.MeetsBefore(b.t);
-  }
-
-  /// dsim of node b with its chain predecessor a; infinity if absent or
-  /// non-adjacent. Identical arithmetic to MergeHeap::KeyFor.
-  double KeyFor(int32_t a, int32_t b) const;
-
-  int32_t AllocNode();
-  void FreeNode(int32_t h);
-  /// Updates h's key and pushes a fresh candidate when it is finite.
-  void SetKey(int32_t h, double new_key);
-  /// Discards stale heap entries; returns the valid minimum candidate or
-  /// false when no finite-key pair exists.
-  bool PeekTop(Candidate* top);
-  /// Folds `top.node` into its chain predecessor (Def. 3) and re-keys the
-  /// two affected neighbours. Returns the introduced error.
-  double MergeCandidate(const Candidate& top, Group& group);
+  /// Merges the (finite-key) heap top into its chain predecessor and books
+  /// the merge; `early` while ingestion is still open.
+  void MergeTop(bool early);
   /// The gPTAc ingest-time merge loop (Prop. 3 + δ read-ahead).
   void MergeWhileOverBudget();
-  /// True when `delta` adjacent successors follow `h` in its chain.
-  bool HasDeltaSuccessors(int32_t h) const;
-  /// Rebuilds the candidate heap from live keys when stale entries
-  /// dominate (keeps heap memory proportional to live rows).
-  void CompactHeapIfNeeded();
   /// Seals every live prefix row of `group` that is settled under
   /// watermark `w`.
   void SealSettledPrefix(Group& group, Chronon w);
 
   size_t p_;
   StreamingOptions options_;
-  std::vector<double> weights_;
-
-  std::vector<Node> nodes_;
-  std::vector<double> values_;  // nodes_.size() * p_
-  std::vector<int32_t> free_;
-  std::priority_queue<Candidate, std::vector<Candidate>,
-                      std::greater<Candidate>>
-      heap_;
+  /// Every group's live chain, the Δ-cost heap and the Prop. 3 counters.
+  MergeHeap heap_;
   /// Group id -> chain + emission state, ordered so extraction is
   /// deterministically group-major.
   std::map<int32_t, Group> groups_;
 
-  // gPTAc Prop. 3 bookkeeping over global insertion order (greedy.cc).
-  int64_t last_gap_id_ = 0;
-  int64_t before_gap_ = 0;
-  int64_t after_gap_ = 0;
-
-  size_t live_ = 0;
   size_t pending_ = 0;
   Chronon watermark_ = kNoWatermark;
   Chronon max_begin_seen_ = kNoWatermark;
-  int64_t next_id_ = 1;
   bool finalized_ = false;
   StreamingStats stats_;
 };

@@ -58,18 +58,19 @@ TEST(GapMergeTest, RunningExampleMergesProjectBAcrossTheGap) {
 
 TEST(GapMergeTest, HeapMergesAcrossGapWithCoveredWeights) {
   MergeHeap heap(1, {}, /*merge_across_gaps=*/true);
-  heap.Insert(Segment{0, Interval(0, 1), {10.0}});   // 2 chronons of 10
-  heap.Insert(Segment{0, Interval(10, 10), {40.0}});  // 1 chronon of 40
+  const int32_t head =  // 2 chronons of 10
+      heap.Insert(Segment{0, Interval(0, 1), {10.0}}, MergeHeap::kNoNode);
+  heap.Insert(Segment{0, Interval(10, 10), {40.0}}, head);  // 1 chronon of 40
   ASSERT_EQ(heap.size(), 2u);
   const MergeHeap::TopInfo top = heap.Peek();
   // dsim weighted by covered lengths: 2*1/3 * (10-40)^2 = 600.
   EXPECT_NEAR(top.key, 600.0, 1e-9);
   heap.MergeTop();
-  const std::vector<Segment> segs = heap.ExtractSegments();
+  const SequentialRelation segs = heap.ExtractRelation(head);
   ASSERT_EQ(segs.size(), 1u);
-  EXPECT_EQ(segs[0].t, Interval(0, 10));  // hull
+  EXPECT_EQ(segs.interval(0), Interval(0, 10));  // hull
   // Covered-weighted mean: (2*10 + 1*40) / 3 = 20.
-  EXPECT_NEAR(segs[0].values[0], 20.0, 1e-9);
+  EXPECT_NEAR(segs.value(0, 0), 20.0, 1e-9);
 }
 
 TEST(GapMergeTest, WeightedGapMergeKeysUseCoveredChronons) {
@@ -82,22 +83,23 @@ TEST(GapMergeTest, WeightedGapMergeKeysUseCoveredChronons) {
   // A hull-weighted key would use 9*2/11 and 2 covered -> far larger.
   const std::vector<double> weights = {3.0, 0.5};
   MergeHeap heap(2, weights, /*merge_across_gaps=*/true);
-  heap.Insert(Segment{0, Interval(0, 1), {10.0, 1.0}});
-  heap.Insert(Segment{0, Interval(10, 10), {40.0, 6.0}});
+  const int32_t head = heap.Insert(Segment{0, Interval(0, 1), {10.0, 1.0}},
+                                   MergeHeap::kNoNode);
+  heap.Insert(Segment{0, Interval(10, 10), {40.0, 6.0}}, head);
   const double expected =
       (2.0 * 1.0 / 3.0) * (9.0 * 900.0 + 0.25 * 25.0);
   EXPECT_DOUBLE_EQ(heap.Peek().key, expected);
   heap.MergeTop();
-  const std::vector<Segment> segs = heap.ExtractSegments();
+  const SequentialRelation segs = heap.ExtractRelation(head);
   ASSERT_EQ(segs.size(), 1u);
-  EXPECT_EQ(segs[0].t, Interval(0, 10));
+  EXPECT_EQ(segs.interval(0), Interval(0, 10));
   // Values are covered-weighted per dimension, independent of the weights.
-  EXPECT_DOUBLE_EQ(segs[0].values[0], (2.0 * 10.0 + 1.0 * 40.0) / 3.0);
-  EXPECT_DOUBLE_EQ(segs[0].values[1], (2.0 * 1.0 + 1.0 * 6.0) / 3.0);
+  EXPECT_DOUBLE_EQ(segs.value(0, 0), (2.0 * 10.0 + 1.0 * 40.0) / 3.0);
+  EXPECT_DOUBLE_EQ(segs.value(0, 1), (2.0 * 1.0 + 1.0 * 6.0) / 3.0);
 
   // After a gap merge, further keys keep using accumulated covered
   // chronons (3 here), not the hull length (11).
-  heap.Insert(Segment{0, Interval(20, 21), {20.0, 2.0}});
+  heap.Insert(Segment{0, Interval(20, 21), {20.0, 2.0}}, head);
   const double diff1 = (2.0 * 1.0 + 1.0 * 6.0) / 3.0 - 2.0;
   const double follow_up =
       (3.0 * 2.0 / 5.0) * (9.0 * 0.0 + 0.25 * diff1 * diff1);
@@ -124,8 +126,9 @@ TEST(GapMergeTest, WeightedGapMergeAgreesWithTheErrorContext) {
 
 TEST(GapMergeTest, GroupBoundariesStillSeparate) {
   MergeHeap heap(1, {}, /*merge_across_gaps=*/true);
-  heap.Insert(Segment{0, Interval(0, 1), {10.0}});
-  heap.Insert(Segment{1, Interval(2, 3), {10.0}});
+  const int32_t head =
+      heap.Insert(Segment{0, Interval(0, 1), {10.0}}, MergeHeap::kNoNode);
+  heap.Insert(Segment{1, Interval(2, 3), {10.0}}, head);
   EXPECT_TRUE(std::isinf(heap.Peek().key));
 }
 

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pta/index.h"
@@ -277,6 +278,43 @@ TEST(IndexIoFuzzTest, NonFiniteValuesAreRejected) {
       EXPECT_NE(loaded.status().message().find("non-finite"),
                 std::string::npos)
           << loaded.status().message();
+    }
+  }
+
+  // A snapshot with three sealed-but-pending rows and one live row. The
+  // live row heads its chain, so its key is infinite whatever its value: a
+  // poisoned value there passes the bitwise key check and only the
+  // value check can catch it.
+  StreamingOptions options;
+  options.size_budget = 100;
+  StreamingPtaEngine engine(1, options);
+  for (const auto& [t, v] : std::vector<std::pair<Chronon, double>>{
+           {0, 1.25}, {1, 2.5}, {2, 3.75}, {10, 7.75}}) {
+    ASSERT_TRUE(engine.Ingest(Segment{0, Interval(t, t), {v}}).ok());
+  }
+  ASSERT_TRUE(engine.AdvanceWatermark(5).ok());
+  ASSERT_EQ(engine.pending_rows(), 3u);
+  ASSERT_EQ(engine.live_rows(), 1u);
+  const std::string snapshot = engine.SaveSnapshot();
+  ASSERT_TRUE(StreamingPtaEngine::RestoreSnapshot(snapshot).ok());
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    for (const double target : {1.25, 7.75}) {  // a pending, a chain value
+      char pattern[sizeof(double)];
+      std::memcpy(pattern, &target, sizeof(pattern));
+      const std::string needle(pattern, sizeof(pattern));
+      const size_t at = snapshot.find(needle);
+      ASSERT_NE(at, std::string::npos);
+      ASSERT_EQ(snapshot.rfind(needle), at);
+      std::string corrupt = snapshot;
+      std::memcpy(&corrupt[at], &bad, sizeof(bad));
+      auto restored = StreamingPtaEngine::RestoreSnapshot(FixChecksum(corrupt));
+      ASSERT_FALSE(restored.ok()) << target << " -> " << bad;
+      EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(restored.status().message().find("non-finite"),
+                std::string::npos)
+          << restored.status().message();
     }
   }
 }

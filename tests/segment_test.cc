@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
 #include <string>
 
 #include "pta/dp.h"
@@ -93,6 +94,8 @@ TEST(SegmentTest, ValidateRejectsImproperIntervals) {
   struct Case {
     Interval t;
     const char* message;
+    // A second segment of the same group, appended after t when set.
+    std::optional<Interval> next = std::nullopt;
   };
   const Case cases[] = {
       {RawInterval(9, 7), "inverted interval [9, 7] at segment 1"},
@@ -112,6 +115,11 @@ TEST(SegmentTest, ValidateRejectsImproperIntervals) {
       {RawInterval(kMinChronon, kMaxChronon),
        "interval [-9223372036854775808, 9223372036854775807] at segment 1 "
        "is longer than INT64_MAX chronons"},
+      // Each segment's length fits, but merging the two would sum them past
+      // INT64_MAX (Dsim's la + lb, the merge heap's covered count).
+      {RawInterval(kMinChronon, -2),
+       "group 1 covers more than INT64_MAX chronons by segment 2",
+       RawInterval(-1, 0)},
   };
   const double v = 1.0;
   for (const Case& tc : cases) {
@@ -119,6 +127,7 @@ TEST(SegmentTest, ValidateRejectsImproperIntervals) {
     SequentialRelation rel(1);
     rel.Append(0, Interval(0, 1), &v);
     rel.Append(1, tc.t, &v);
+    if (tc.next) rel.Append(1, *tc.next, &v);
     const Status status = rel.Validate();
     ASSERT_FALSE(status.ok());
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);

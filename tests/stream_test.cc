@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
+#include <string>
 
 #include "pta/greedy.h"
 #include "stream/sharded_stream.h"
@@ -408,6 +411,155 @@ TEST(StreamWatermarkTest, AutoWatermarkEmitsWithoutManualCalls) {
   EXPECT_TRUE(out->Validate().ok());
 }
 
+// 64-bit FNV-1a, folded over whatever the watermark battery observes.
+struct Fnv1a {
+  uint64_t h = 14695981039346656037ull;
+  void Bytes(const void* data, size_t n) {
+    const unsigned char* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ull;
+    }
+  }
+  template <typename T>
+  void Pod(T v) {
+    Bytes(&v, sizeof(v));
+  }
+  void Relation(const SequentialRelation& rel) {
+    Pod(rel.size());
+    for (size_t i = 0; i < rel.size(); ++i) {
+      Pod(rel.group(i));
+      Pod(rel.interval(i).begin);
+      Pod(rel.interval(i).end);
+      Bytes(rel.values(i), rel.num_aggregates() * sizeof(double));
+    }
+  }
+  void Stats(const StreamingStats& s) {
+    Pod(s.ingested);
+    Pod(s.merges);
+    Pod(s.early_merges);
+    Pod(s.emitted);
+    Pod(s.max_live_rows);
+    Pod(s.merge_sse);
+  }
+};
+
+// A time-major feed for the watermark battery: groups interleave at every
+// tick, skip ticks (short holes every few ticks, long ones now and then)
+// and carry values on a 0.5 grid so equal Δ-costs are common and the id
+// tie-break is exercised.
+std::vector<Segment> MakeWatermarkFeed(size_t ticks, size_t num_groups,
+                                       uint64_t seed) {
+  Random rng(seed);
+  std::vector<double> level(num_groups, 10.0);
+  std::vector<Segment> arrival;
+  for (size_t t = 0; t < ticks; ++t) {
+    for (size_t g = 0; g < num_groups; ++g) {
+      if ((t + 3 * g) % 11 == 5 || (t / 40 + g) % 5 == 0) continue;
+      level[g] += rng.Uniform(-1.5, 1.5);
+      Segment seg;
+      seg.group = static_cast<int32_t>(g);
+      seg.t = Interval(static_cast<Chronon>(t), static_cast<Chronon>(t));
+      seg.values = {std::round(2.0 * level[g]) / 2.0, static_cast<double>(g)};
+      arrival.push_back(std::move(seg));
+    }
+  }
+  return arrival;
+}
+
+// Feeds `arrival[from, to)` in chunks of 9 rows, draining emissions after
+// every chunk into `digest`. Stops at the first error.
+Status FeedWatermarkRange(StreamingPtaEngine& engine,
+                          const std::vector<Segment>& arrival, size_t from,
+                          size_t to, Fnv1a* digest) {
+  for (size_t i = from; i < to; i += 9) {
+    SequentialRelation chunk(2);
+    for (size_t j = i; j < std::min(to, i + 9); ++j) chunk.Append(arrival[j]);
+    PTA_RETURN_IF_ERROR(engine.IngestChunk(chunk));
+    digest->Relation(engine.TakeEmitted());
+  }
+  return Status::Ok();
+}
+
+TEST(StreamWatermarkTest, AutoWatermarkRunsKeepTheirDigest) {
+  // The watermark path's schedule (budget-pressure merges, sealing, the
+  // Prop. 3 counters a snapshot carries) pinned by digests recorded before
+  // the engine moved onto MergeHeap. Each digest covers every emission, the
+  // Finalize output, the stats and the mid-stream and final snapshot bytes.
+  // A save/restore in the middle must resume to the same digest.
+  const std::vector<Segment> arrival = MakeWatermarkFeed(240, 6, 2024);
+  struct Case {
+    size_t delta;
+    bool gaps;
+    Chronon lag;
+    uint64_t digest;
+  };
+  constexpr size_t kInf = GreedyOptions::kDeltaInfinity;
+  const Case cases[] = {
+      {0, false, 3, 13399179736711413468ull},
+      {1, false, 3, 7558069491596916627ull},
+      {kInf, false, 3, 7832144944261263708ull},
+      {0, true, 3, 5920114137920491498ull},
+      {1, true, 3, 18303242372359948544ull},
+      {kInf, true, 3, 6636263017696617316ull},
+      {0, false, 30, 2010743713000571934ull},
+      {1, false, 30, 13191345509708728735ull},
+      {kInf, false, 30, 3226977026492393869ull},
+      {0, true, 30, 221884619182522646ull},
+      {1, true, 30, 9417828793766027668ull},
+      {kInf, true, 30, 17194974380660028194ull},
+  };
+  const size_t half = arrival.size() / 2;
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(::testing::Message() << "delta " << tc.delta << " gaps "
+                                      << tc.gaps << " lag " << tc.lag);
+    StreamingOptions options;
+    options.size_budget = 20;
+    options.delta = tc.delta;
+    options.merge_across_gaps = tc.gaps;
+    options.weights = {1.0, 2.0};
+    options.auto_watermark_lag = tc.lag;
+
+    // Uninterrupted run.
+    Fnv1a straight;
+    StreamingPtaEngine engine(2, options);
+    ASSERT_TRUE(FeedWatermarkRange(engine, arrival, 0, half, &straight).ok());
+    const std::string mid = engine.SaveSnapshot();
+    straight.Bytes(mid.data(), mid.size());
+    Fnv1a resumed = straight;
+    ASSERT_TRUE(
+        FeedWatermarkRange(engine, arrival, half, arrival.size(), &straight)
+            .ok());
+    auto out = engine.Finalize();
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_TRUE(out->Validate().ok());
+    straight.Relation(*out);
+    straight.Stats(engine.stats());
+    const std::string last = engine.SaveSnapshot();
+    straight.Bytes(last.data(), last.size());
+    EXPECT_GT(engine.stats().emitted, 0u);
+    EXPECT_GT(engine.stats().early_merges, 0u);
+    EXPECT_EQ(straight.h, tc.digest);
+
+    // Interrupted at the same point: restore the mid-stream snapshot and
+    // resume.
+    auto restored = StreamingPtaEngine::RestoreSnapshot(mid);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    StreamingPtaEngine& back = **restored;
+    ASSERT_TRUE(
+        FeedWatermarkRange(back, arrival, half, arrival.size(), &resumed)
+            .ok());
+    auto resumed_out = back.Finalize();
+    ASSERT_TRUE(resumed_out.ok());
+    resumed.Relation(*resumed_out);
+    resumed.Stats(back.stats());
+    const std::string resumed_last = back.SaveSnapshot();
+    resumed.Bytes(resumed_last.data(), resumed_last.size());
+    EXPECT_EQ(resumed.h, straight.h);
+    EXPECT_EQ(resumed_last, last);
+  }
+}
+
 // ----------------------------------------------------------- state machine
 
 TEST(StreamStateTest, RejectsMalformedIngestAndPreservesState) {
@@ -445,6 +597,30 @@ TEST(StreamStateTest, RejectsMalformedIngestAndPreservesState) {
   EXPECT_TRUE(engine.Ingest(seg).ok());
   EXPECT_EQ(engine.live_rows(), 2u);
   EXPECT_EQ(engine.stats().ingested, 2u);
+
+  // Each length fits in int64_t, but merging would sum them past INT64_MAX
+  // (Dsim's la + lb): the group's live rows may not cover that much. An
+  // inverted interval in a new group is rejected without creating it.
+  Segment huge = seg;
+  huge.group = 1;
+  huge.t = Interval(std::numeric_limits<Chronon>::min(), -2);
+  ASSERT_TRUE(engine.Ingest(huge).ok());
+  const std::string before = engine.SaveSnapshot();
+  huge.t = Interval(-1, 0);
+  Status status = engine.Ingest(huge);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("more than INT64_MAX chronons"),
+            std::string::npos)
+      << status.message();
+  bad = seg;
+  bad.group = 2;
+  bad.t.begin = 9;
+  bad.t.end = 8;
+  EXPECT_EQ(engine.Ingest(bad).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.SaveSnapshot(), before);
+  auto out = engine.Finalize();
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->size(), 3u);
 }
 
 TEST(StreamStateTest, FinalizeIsTerminal) {
