@@ -1,6 +1,9 @@
 // Streaming engine throughput: rows/second of StreamingPtaEngine as a
-// function of the ingest chunk size and the live-row budget, plus a
-// watermark-mode run measuring emission on an unbounded-style feed.
+// function of the ingest chunk size and the live-row budget, plus two
+// watermark-mode runs measuring emission on unbounded-style feeds: one
+// long single-group stream, and a time-major feed over many concurrently
+// live groups, where each chunk settles only some of them, so per-group
+// bookkeeping carries much of the cost.
 //
 // Not a paper figure — this benchmarks the repo's own online subsystem
 // (docs/STREAMING.md). Stdout is JSON Lines so the records can be appended
@@ -9,10 +12,12 @@
 //   * with the watermark disabled, Finalize() is byte-identical to batch
 //     GreedyReduceToSize on the same input;
 //   * with an auto-watermark lag, peak live rows stay bounded by
-//     budget + lag + the read-ahead overshoot, independent of stream length.
+//     budget + lag + the read-ahead overshoot, independent of stream length,
+//     and by budget + chunk + 1 on the many-group feed.
 //
 // Usage: bench_stream_throughput [--quick]   (also honors PTA_BENCH_SCALE)
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,6 +28,7 @@
 #include "datasets/synthetic.h"
 #include "pta/greedy.h"
 #include "stream/stream.h"
+#include "util/random.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
 
@@ -67,6 +73,39 @@ RunResult RunOnce(const SequentialRelation& rel, size_t chunk_rows,
   out.stats = engine.stats();
   out.final_rows = std::move(*final_rows);
   return out;
+}
+
+// A time-major feed over `num_groups` groups that all stay live for the
+// whole feed: each is a run of `rows_per_group` segments of 1-50 chronons
+// (an occasional one-chronon hole splits it), starting within the first 50
+// chronons. A 4096-row chunk spans about five chronons, so each watermark
+// advance settles only the groups whose heads ended in that window.
+SequentialRelation ManyGroupFeed(size_t num_groups, size_t rows_per_group,
+                                 uint64_t seed) {
+  Random rng(seed);
+  std::vector<Segment> rows;
+  rows.reserve(num_groups * rows_per_group);
+  for (size_t g = 0; g < num_groups; ++g) {
+    Chronon t = rng.UniformInt(0, 49);
+    for (size_t k = 0; k < rows_per_group; ++k) {
+      if (rng.Bernoulli(0.1)) ++t;
+      const Chronon length = rng.UniformInt(1, 50);
+      Segment seg;
+      seg.group = static_cast<int32_t>(g);
+      seg.t = Interval(t, t + length - 1);
+      t += length;
+      seg.values = {rng.Uniform(0.0, 1000.0), rng.Uniform(0.0, 1000.0)};
+      rows.push_back(std::move(seg));
+    }
+  }
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const Segment& a, const Segment& b) {
+                     return a.t.begin < b.t.begin;
+                   });
+  SequentialRelation feed(2);
+  feed.Reserve(rows.size());
+  for (const Segment& seg : rows) feed.Append(seg);
+  return feed;
 }
 
 }  // namespace
@@ -165,19 +204,51 @@ int main(int argc, char** argv) {
         run.stats.merge_sse);
   }
 
+  // Invariant 3 + many-group record: a time-major feed over 20,000 live
+  // groups. Each chunk settles or emits only some of the groups the engine
+  // holds; live rows stay within budget + chunk + 1. The budget exceeds
+  // the group count, since every group keeps at least its tail live.
+  bool many_group_bounded = false;
+  {
+    constexpr size_t kManyGroups = 20000;
+    constexpr size_t kChunk = 4096;
+    const SequentialRelation feed = ManyGroupFeed(
+        kManyGroups, bench::Scaled(20, /*minimum=*/4), /*seed=*/31);
+    StreamingOptions options;
+    options.size_budget = 24576;
+    options.auto_watermark_lag = 8;
+    RunResult run = RunOnce(feed, kChunk, options);
+    many_group_bounded =
+        run.stats.max_live_rows <= options.size_budget + kChunk + 1 &&
+        run.emitted > 0;
+    const double throughput =
+        static_cast<double>(feed.size()) / run.seconds;
+    std::printf(
+        "{\"bench\": \"stream_throughput\", \"rows\": %zu, "
+        "\"groups\": %zu, \"chunk_rows\": %zu, \"budget\": %zu, "
+        "\"watermark_lag\": %lld, \"wall_seconds\": %.4f, "
+        "\"rows_per_second\": %.0f, \"max_live_rows\": %zu, "
+        "\"merges\": %zu, \"emitted_rows\": %zu, \"sse\": %.6g}\n",
+        feed.size(), kManyGroups, kChunk, options.size_budget,
+        static_cast<long long>(options.auto_watermark_lag), run.seconds,
+        throughput, run.stats.max_live_rows, run.stats.merges, run.emitted,
+        run.stats.merge_sse);
+  }
+
   std::printf(
       "{\"bench\": \"stream_throughput_summary\", \"rows\": %zu, "
       "\"identical_to_batch\": %s, \"watermark_bounded_memory\": %s, "
-      "\"emitted_rows\": %zu}\n",
+      "\"many_group_bounded_memory\": %s, \"emitted_rows\": %zu}\n",
       n, identical_to_batch ? "true" : "false",
-      watermark_bounded ? "true" : "false", emitted_rows);
+      watermark_bounded ? "true" : "false",
+      many_group_bounded ? "true" : "false", emitted_rows);
 
   std::fputs(table.ToString().c_str(), stderr);
   std::fprintf(stderr,
                "\nexpected shape: throughput rises with chunk size "
                "(amortized per-chunk overhead)\nand falls slightly with "
                "tighter budgets (more merges per row).\n");
-  if (!identical_to_batch || !watermark_bounded) {
+  if (!identical_to_batch || !watermark_bounded || !many_group_bounded) {
     std::fprintf(stderr, "FAILED: streaming invariants violated\n");
     return 1;
   }

@@ -20,6 +20,7 @@
 #   --analyze     the compile-time correctness gate (docs/STATIC_ANALYSIS.md):
 #                 1. scripts/pta_lint.py over src/ tests/ bench/ examples/
 #                    (determinism + parse-discipline rules, runs everywhere)
+#                    and scripts/bench_compare.py --self-test
 #                 2. a -Werror gcc/default build in build-analyze/, which
 #                    promotes every [[nodiscard]] Status/Result discard to a
 #                    hard error, then the full ctest suite
@@ -76,6 +77,7 @@ if [[ "$mode" == "analyze" ]]; then
   echo "== analyze 1/4: project linter (scripts/pta_lint.py) =="
   python3 scripts/pta_lint.py src tests bench examples
   echo "pta_lint: clean"
+  python3 scripts/bench_compare.py --self-test
 fi
 
 cmake -B "$build_dir" -S . "${cmake_args[@]}"

@@ -55,7 +55,7 @@ ErrorContext::ErrorContext(const SequentialRelation& rel,
   l_.assign(n_ + 1, 0);
   for (size_t i = 0; i < n_; ++i) {
     const double len = static_cast<double>(rel.length(i));
-    l_[i + 1] = l_[i] + rel.length(i);
+    l_[i + 1] = l_[i] + static_cast<uint64_t>(rel.length(i));
     const double* v = rel.values(i);
     for (size_t d = 0; d < p_; ++d) {
       s_[(i + 1) * p_ + d] = s_[i * p_ + d] + len * v[d];
@@ -73,7 +73,7 @@ ErrorContext::ErrorContext(const SequentialRelation& rel,
 
 double ErrorContext::RunSse(size_t i, size_t j) const {
   PTA_DCHECK(i <= j && j < n_);
-  const int64_t len = l_[j + 1] - l_[i];
+  const int64_t len = RunLength(i, j);
   double acc = 0.0;
   for (size_t d = 0; d < p_; ++d) {
     const double sum = s_[(j + 1) * p_ + d] - s_[i * p_ + d];
@@ -88,13 +88,15 @@ double ErrorContext::RunSse(size_t i, size_t j) const {
 double ErrorContext::RunMergedValue(size_t i, size_t j, size_t d) const {
   PTA_DCHECK(i <= j && j < n_ && d < p_);
   const double sum = s_[(j + 1) * p_ + d] - s_[i * p_ + d];
-  const int64_t len = l_[j + 1] - l_[i];
+  const int64_t len = RunLength(i, j);
   return sum / static_cast<double>(len);
 }
 
 int64_t ErrorContext::RunLength(size_t i, size_t j) const {
   PTA_DCHECK(i <= j && j < n_);
-  return l_[j + 1] - l_[i];
+  // The prefix may wrap past the whole relation, but a run stays inside
+  // one group, whose total length Validate bounds by INT64_MAX.
+  return static_cast<int64_t>(l_[j + 1] - l_[i]);
 }
 
 bool ErrorContext::HasGapInside(size_t i, size_t j) const {

@@ -114,7 +114,8 @@ class ErrorContext {
   // prefix over the first i segments.
   std::vector<double> s_;
   std::vector<double> ss_;
-  std::vector<int64_t> l_;
+  // Lengths, summed across groups in wrapping arithmetic (RunLength).
+  std::vector<uint64_t> l_;
   std::vector<size_t> gaps_;
 };
 

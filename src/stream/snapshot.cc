@@ -91,7 +91,8 @@ std::string StreamingPtaEngine::SaveSnapshot() const {
 
   w.F64Array(options_.weights.data(), options_.weights.size());
 
-  for (const auto& [group_id, group] : groups_) {
+  for (const int32_t group_id : SortedGroupIds()) {
+    const Group& group = groups_.at(group_id);
     w.I32(group_id);
     w.U64(group.pending.size());
     size_t chain = 0;
@@ -219,8 +220,9 @@ StreamingPtaEngine::RestoreSnapshot(std::string_view bytes) {
     if (!r.I32(&group_id) || !r.U64(&num_pending) || !r.U64(&num_chain)) {
       return Corrupt("truncated group header");
     }
-    // Strictly ascending group ids keep the std::map insertion cheap and
-    // reject duplicate groups in one check.
+    // SaveSnapshot writes groups in ascending id order; demanding it keeps
+    // one byte string per engine state and rejects duplicate groups in one
+    // check.
     if (group_id <= prev_group) {
       return Corrupt("group ids not strictly ascending");
     }
@@ -292,6 +294,8 @@ StreamingPtaEngine::RestoreSnapshot(std::string_view bytes) {
       group.covered += covered;
       prev = h;
     }
+    if (group.head >= 0) engine->QueueForSealing(group_id, group);
+    if (num_pending > 0) engine->emitting_.push_back(group_id);
   }
   engine->heap_.RestoreCounters(next_id, last_gap_id, before_gap, after_gap);
   if (r.remaining() != 0) return Corrupt("trailing bytes after snapshot");

@@ -16,8 +16,9 @@ StreamingPtaEngine::StreamingPtaEngine(size_t num_aggregates,
 
 void StreamingPtaEngine::MergeTop(bool early) {
   const int32_t top = heap_.Peek().node;
-  Group& group = groups_[heap_.group(top)];
-  if (group.tail == top) group.tail = heap_.prev(top);
+  if (heap_.next(top) == MergeHeap::kNoNode) {
+    groups_[heap_.group(top)].tail = heap_.prev(top);
+  }
   stats_.merge_sse += early ? heap_.EarlyMergeTop() : heap_.MergeTop();
   ++stats_.merges;
   if (early) ++stats_.early_merges;
@@ -92,6 +93,7 @@ Status StreamingPtaEngine::Ingest(const Segment& seg) {
   group.tail = heap_.Insert(seg, group.tail);
   if (group.head < 0) group.head = group.tail;
   group.covered += seg.t.length();
+  if (!group.queued) QueueForSealing(seg.group, group);
 
   ++stats_.ingested;
   if (heap_.size() > stats_.max_live_rows) {
@@ -137,6 +139,7 @@ void StreamingPtaEngine::SealSettledPrefix(Group& group, Chronon w) {
     if (heap_.interval(h).end >= w - 1) break;
     if (options_.merge_across_gaps && h == group.tail) break;
 
+    if (group.pending.empty()) emitting_.push_back(heap_.group(h));
     Segment sealed;
     sealed.group = heap_.group(h);
     sealed.t = heap_.interval(h);
@@ -150,6 +153,19 @@ void StreamingPtaEngine::SealSettledPrefix(Group& group, Chronon w) {
     group.head = heap_.RemoveHead(h);
     if (group.head < 0) group.tail = MergeHeap::kNoNode;
   }
+}
+
+void StreamingPtaEngine::QueueForSealing(int32_t id, Group& group) {
+  seal_queue_.emplace(heap_.interval(group.head).end, id);
+  group.queued = true;
+}
+
+std::vector<int32_t> StreamingPtaEngine::SortedGroupIds() const {
+  std::vector<int32_t> ids;
+  ids.reserve(groups_.size());
+  for (const auto& entry : groups_) ids.push_back(entry.first);
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 Status StreamingPtaEngine::AdvanceWatermark(Chronon watermark) {
@@ -166,9 +182,17 @@ Status StreamingPtaEngine::AdvanceWatermark(Chronon watermark) {
   // error. Skip the sealing scan — nothing new can settle.
   if (watermark == watermark_) return Status::Ok();
   watermark_ = watermark;
-  for (auto& [group_id, group] : groups_) {
-    (void)group_id;
+  while (!seal_queue_.empty() && seal_queue_.top().first < watermark - 1) {
+    const int32_t id = seal_queue_.top().second;
+    seal_queue_.pop();
+    Group& group = groups_[id];
+    group.queued = false;
     SealSettledPrefix(group, watermark);
+    // A remaining head below the watermark is a lone gap-merging tail; its
+    // group's next Ingest queues it again.
+    if (group.head >= 0 && heap_.interval(group.head).end >= watermark - 1) {
+      QueueForSealing(id, group);
+    }
   }
   return Status::Ok();
 }
@@ -176,18 +200,19 @@ Status StreamingPtaEngine::AdvanceWatermark(Chronon watermark) {
 SequentialRelation StreamingPtaEngine::TakeEmitted() {
   SequentialRelation out(p_);
   out.Reserve(pending_);
-  for (auto it = groups_.begin(); it != groups_.end();) {
+  // Only a group that sealed rows can have lost its live chain, so the
+  // groups that emitted are also the only ones to release.
+  std::sort(emitting_.begin(), emitting_.end());
+  for (const int32_t id : emitting_) {
+    const auto it = groups_.find(id);
     Group& group = it->second;
     for (const Segment& seg : group.pending) out.Append(seg);
     group.pending.clear();
     // A group with no live chain and no pending rows holds no state; drop
     // it so churning group populations do not grow the engine forever.
-    if (group.head < 0) {
-      it = groups_.erase(it);
-    } else {
-      ++it;
-    }
+    if (group.head < 0) groups_.erase(it);
   }
+  emitting_.clear();
   pending_ = 0;
   return out;
 }
@@ -195,8 +220,8 @@ SequentialRelation StreamingPtaEngine::TakeEmitted() {
 SequentialRelation StreamingPtaEngine::Snapshot() const {
   SequentialRelation out(p_);
   out.Reserve(pending_ + heap_.size());
-  for (const auto& [group_id, group] : groups_) {
-    (void)group_id;
+  for (const int32_t id : SortedGroupIds()) {
+    const Group& group = groups_.at(id);
     for (const Segment& seg : group.pending) out.Append(seg);
     heap_.AppendChain(group.head, &out);
   }
@@ -218,10 +243,8 @@ Result<SequentialRelation> StreamingPtaEngine::Finalize() {
     MergeTop(/*early=*/false);
   }
   SequentialRelation out = Snapshot();
-  for (auto& [group_id, group] : groups_) {
-    (void)group_id;
-    group.pending.clear();
-  }
+  // emitting_ stays: a later TakeEmitted still releases the sealed groups.
+  for (auto& entry : groups_) entry.second.pending.clear();
   pending_ = 0;
   return out;
 }

@@ -41,10 +41,12 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
+#include <queue>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/interval.h"
@@ -177,6 +179,8 @@ class StreamingPtaEngine {
     /// Sealed rows awaiting TakeEmitted, chronologically ordered; always a
     /// prefix of the group's history before the live chain.
     std::vector<Segment> pending;
+    /// Whether seal_queue_ holds an entry for this group.
+    bool queued = false;
   };
 
   /// Merges the (finite-key) heap top into its chain predecessor and books
@@ -187,14 +191,27 @@ class StreamingPtaEngine {
   /// Seals every live prefix row of `group` that is settled under
   /// watermark `w`.
   void SealSettledPrefix(Group& group, Chronon w);
+  /// Enters group `id`, which has a live chain, into seal_queue_.
+  void QueueForSealing(int32_t id, Group& group);
+  /// Every group id, ascending: the order of all group-major output.
+  std::vector<int32_t> SortedGroupIds() const;
 
   size_t p_;
   StreamingOptions options_;
   /// Every group's live chain, the Δ-cost heap and the Prop. 3 counters.
   MergeHeap heap_;
-  /// Group id -> chain + emission state, ordered so extraction is
-  /// deterministically group-major.
-  std::map<int32_t, Group> groups_;
+  /// Group id -> chain + emission state. Unordered: every group-major
+  /// output sorts the ids it visits, so no per-row lookup pays for order.
+  std::unordered_map<int32_t, Group> groups_;
+  /// (head end, group id), at most one entry per group with a live chain,
+  /// minimum first. A key may be stale, but only low: a head's end never
+  /// decreases (merges extend it, sealing exposes a later row). So a
+  /// watermark advance visits only the groups that may have settled rows.
+  using SealEntry = std::pair<Chronon, int32_t>;
+  std::priority_queue<SealEntry, std::vector<SealEntry>, std::greater<>>
+      seal_queue_;
+  /// Groups that gained a pending row since the last TakeEmitted.
+  std::vector<int32_t> emitting_;
 
   size_t pending_ = 0;
   Chronon watermark_ = kNoWatermark;

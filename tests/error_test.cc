@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "pta/dp.h"
+#include "pta/greedy.h"
+#include "pta/index.h"
 #include "test_util.h"
 
 namespace pta {
@@ -118,6 +121,42 @@ TEST(ErrorContextTest, MaxErrorIsSumOfRunCollapses) {
   // Emax of the running example = 269285.71 (run A) + 0 + 0 (runs B).
   const ErrorContext ctx(MakeProjIta());
   EXPECT_NEAR(ctx.MaxError(), 269285.71, 0.5);
+}
+
+TEST(ErrorContextTest, LengthPrefixMaySumPastInt64MaxAcrossGroups) {
+  // Validate bounds each group's total length, not the relation's: three
+  // groups of 2^62 chronons sum past INT64_MAX. Runs never cross groups,
+  // so every run length, merged value and error stays exact.
+  constexpr Chronon kLen = Chronon{1} << 62;
+  SequentialRelation rel(1);
+  for (int32_t g = 0; g < 3; ++g) {
+    rel.Append(MakeSeg(g, 0, kLen - 1, {1.0 + g}));
+  }
+  ASSERT_TRUE(rel.Validate().ok());
+  const ErrorContext ctx(rel);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(ctx.RunLength(i, i), kLen);
+    EXPECT_EQ(ctx.RunMergedValue(i, i, 0), 1.0 + static_cast<double>(i));
+    EXPECT_EQ(ctx.RunSse(i, i), 0.0);
+  }
+  EXPECT_EQ(ctx.MaxError(), 0.0);
+
+  auto by_size = ReduceToSizeDp(rel, 3);
+  ASSERT_TRUE(by_size.ok()) << by_size.status().ToString();
+  EXPECT_EQ(by_size->relation.size(), 3u);
+  auto by_error = ReduceToErrorDp(rel, 0.5);
+  ASSERT_TRUE(by_error.ok()) << by_error.status().ToString();
+  EXPECT_EQ(by_error->relation.size(), 3u);
+  EXPECT_EQ(by_error->error, 0.0);
+  auto gms = GmsReduceToError(rel, 0.5);
+  ASSERT_TRUE(gms.ok()) << gms.status().ToString();
+  EXPECT_EQ(gms->relation.size(), 3u);
+  auto index = PtaIndex::Build(rel);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ(index->max_error(), 0.0);
+  auto cut = index->CutToError(0.5);
+  ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+  EXPECT_EQ(cut->relation.size(), 3u);
 }
 
 TEST(StepFunctionSseTest, ZeroForIdenticalRelations) {

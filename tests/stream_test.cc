@@ -560,6 +560,145 @@ TEST(StreamWatermarkTest, AutoWatermarkRunsKeepTheirDigest) {
   }
 }
 
+// A time-major feed over many sparse, partly negative group ids, arriving
+// in a scrambled id order within each tick. Each group falls silent for 12
+// of every 36 ticks (long enough for a small watermark lag to seal and
+// release it, so it is re-created when it returns) and skips single ticks
+// at random. Values sit on a 0.25 grid so equal Δ-costs are common.
+std::vector<Segment> MakeManyGroupFeed(size_t ticks, size_t num_groups,
+                                       uint64_t seed) {
+  Random rng(seed);
+  std::vector<double> level(num_groups, 0.0);
+  std::vector<Segment> arrival;
+  for (size_t t = 0; t < ticks; ++t) {
+    for (size_t k = 0; k < num_groups; ++k) {
+      const size_t i = (k * 769) % num_groups;
+      if ((t + 5 * i) / 12 % 3 == 2 || rng.Bernoulli(0.25)) continue;
+      level[i] += rng.Uniform(-1.0, 1.0);
+      Segment seg;
+      seg.group = static_cast<int32_t>(i) * 7919 - 5'000'000;
+      seg.t = Interval(static_cast<Chronon>(t), static_cast<Chronon>(t));
+      seg.values = {std::round(4.0 * level[i]) / 4.0};
+      arrival.push_back(std::move(seg));
+    }
+  }
+  return arrival;
+}
+
+constexpr size_t kManyGroupChunk = 512;
+
+// Feeds `arrival[from, to)` in 512-row chunks, draining emissions after
+// every chunk into `digest`. With `jumps`, every eighth chunk (counted from
+// the start of the feed, so a resumed run keeps the schedule) advances the
+// watermark straight to the next row's begin, passing many groups at once.
+Status FeedManyGroups(StreamingPtaEngine& engine,
+                      const std::vector<Segment>& arrival, size_t from,
+                      size_t to, bool jumps, Fnv1a* digest) {
+  for (size_t i = from; i < to; i += kManyGroupChunk) {
+    const size_t end = std::min(to, i + kManyGroupChunk);
+    SequentialRelation chunk(1);
+    for (size_t j = i; j < end; ++j) chunk.Append(arrival[j]);
+    PTA_RETURN_IF_ERROR(engine.IngestChunk(chunk));
+    if (jumps && (i / kManyGroupChunk) % 8 == 7 && end < arrival.size()) {
+      PTA_RETURN_IF_ERROR(engine.AdvanceWatermark(arrival[end].t.begin));
+    }
+    digest->Relation(engine.TakeEmitted());
+  }
+  return Status::Ok();
+}
+
+// Runs the rest of a many-group case from `arrival[from]` to the end: the
+// remaining feed, a final jump past every group (jump cases), Finalize, the
+// stats, and the final snapshot before and after draining once more.
+// Returns the final snapshot.
+std::string FinishManyGroups(StreamingPtaEngine& engine,
+                             const std::vector<Segment>& arrival, size_t from,
+                             bool jumps, Fnv1a* digest) {
+  EXPECT_TRUE(
+      FeedManyGroups(engine, arrival, from, arrival.size(), jumps, digest)
+          .ok());
+  if (jumps) {
+    EXPECT_TRUE(
+        engine.AdvanceWatermark(arrival.back().t.begin + 1000).ok());
+    digest->Relation(engine.TakeEmitted());
+  }
+  auto out = engine.Finalize();
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  if (!out.ok()) return "";
+  EXPECT_TRUE(out->Validate().ok());
+  digest->Relation(*out);
+  digest->Stats(engine.stats());
+  const std::string finalized = engine.SaveSnapshot();
+  digest->Bytes(finalized.data(), finalized.size());
+  digest->Relation(engine.TakeEmitted());
+  const std::string drained = engine.SaveSnapshot();
+  digest->Bytes(drained.data(), drained.size());
+  return drained;
+}
+
+TEST(StreamWatermarkTest, ManyGroupRunsKeepTheirDigest) {
+  // About 2,000 groups whose chains settle, drain and re-form at different
+  // times: which groups get sealed, emitted and released on each watermark
+  // advance, in group-id-major order, pinned by digests recorded before the
+  // engine stopped visiting every group on every advance.
+  const std::vector<Segment> arrival = MakeManyGroupFeed(48, 2000, 1807);
+  struct Case {
+    size_t delta;
+    bool gaps;
+    Chronon lag;  // -1: no auto-watermark, explicit jumps instead
+    uint64_t digest;
+  };
+  constexpr size_t kInf = GreedyOptions::kDeltaInfinity;
+  const Case cases[] = {
+      {0, false, 1, 10835201975362683833ull},
+      {kInf, false, 1, 15630141012946982565ull},
+      {0, true, 1, 10657263000700818340ull},
+      {kInf, true, 1, 7718070991865970436ull},
+      {0, false, 20, 11650596838044661905ull},
+      {kInf, false, 20, 8446588466474890689ull},
+      {0, true, 20, 3710434053993180420ull},
+      {kInf, true, 20, 1201129319760161911ull},
+      {0, false, -1, 14907371451562138508ull},
+      {kInf, false, -1, 6520451845829175541ull},
+      {0, true, -1, 2781290811912398167ull},
+      {kInf, true, -1, 4094682361696437036ull},
+  };
+  const size_t half =
+      arrival.size() / kManyGroupChunk / 2 * kManyGroupChunk;
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(::testing::Message() << "delta " << tc.delta << " gaps "
+                                      << tc.gaps << " lag " << tc.lag);
+    StreamingOptions options;
+    // Gap merging folds each group down to one live row, which never
+    // seals, once the budget falls below the group count.
+    options.size_budget = tc.gaps ? 2500 : 1000;
+    options.delta = tc.delta;
+    options.merge_across_gaps = tc.gaps;
+    options.auto_watermark_lag = tc.lag;
+    const bool jumps = tc.lag < 0;
+
+    Fnv1a straight;
+    StreamingPtaEngine engine(1, options);
+    ASSERT_TRUE(
+        FeedManyGroups(engine, arrival, 0, half, jumps, &straight).ok());
+    const std::string mid = engine.SaveSnapshot();
+    straight.Bytes(mid.data(), mid.size());
+    Fnv1a resumed = straight;
+    const std::string last =
+        FinishManyGroups(engine, arrival, half, jumps, &straight);
+    EXPECT_GT(engine.stats().emitted, 0u);
+    EXPECT_GT(engine.stats().early_merges, 0u);
+    EXPECT_EQ(straight.h, tc.digest);
+
+    auto restored = StreamingPtaEngine::RestoreSnapshot(mid);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    const std::string resumed_last =
+        FinishManyGroups(**restored, arrival, half, jumps, &resumed);
+    EXPECT_EQ(resumed.h, straight.h);
+    EXPECT_EQ(resumed_last, last);
+  }
+}
+
 // ----------------------------------------------------------- state machine
 
 TEST(StreamStateTest, RejectsMalformedIngestAndPreservesState) {
