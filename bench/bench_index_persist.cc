@@ -12,7 +12,9 @@
 // Stdout is JSON Lines: one record per workload and a summary. Invariants
 // enforced (non-zero exit on violation):
 //   * LoadIndex from the saved file is >= 10x faster than rebuilding the
-//     index from the raw relation (the warm-start gate);
+//     index from the raw relation (the warm-start gate): the median ratio
+//     over alternating load/rebuild pairs (bench::TimePaired), so a burst
+//     of host noise hits both sides of a pair;
 //   * the loaded index is byte-identical to the saved one: re-serializing
 //     it reproduces the file's bytes exactly, and every sampled size and
 //     error cut matches the in-memory index bitwise (values and error
@@ -76,11 +78,8 @@ struct WorkloadResult {
   double deserialize_seconds = 0.0;
   double save_seconds = 0.0;
   double load_seconds = 0.0;
+  double load_speedup = 0.0;  // median of paired rebuild / load ratios
   bool identical = true;
-
-  double load_speedup() const {
-    return load_seconds > 0.0 ? rebuild_seconds / load_seconds : 0.0;
-  }
 };
 
 WorkloadResult RunWorkload(const char* name, const TemporalRelation& raw,
@@ -95,15 +94,6 @@ WorkloadResult RunWorkload(const char* name, const TemporalRelation& raw,
   auto built = PtaIndex::Build(std::move(*ita));
   PTA_CHECK_MSG(built.ok(), built.status().message().c_str());
   const PtaIndex& index = *built;
-
-  // The cold path a warm start avoids — the plan cache's miss path: ITA
-  // over the raw relation, then the greedy build over its output.
-  result.rebuild_seconds = BestOf([&] {
-    auto aggregated = Ita(raw, spec);
-    PTA_CHECK(aggregated.ok());
-    auto rebuilt = PtaIndex::Build(std::move(*aggregated));
-    PTA_CHECK(rebuilt.ok());
-  });
 
   const std::string bytes = SerializeIndex(index);
   result.bytes = bytes.size();
@@ -120,10 +110,24 @@ WorkloadResult RunWorkload(const char* name, const TemporalRelation& raw,
     const Status saved = SaveIndex(index, path);
     PTA_CHECK_MSG(saved.ok(), saved.message().c_str());
   });
-  result.load_seconds = BestOf([&] {
-    auto loaded = LoadIndex(path);
-    PTA_CHECK_MSG(loaded.ok(), loaded.status().message().c_str());
-  });
+  // The load against the cold path a warm start avoids — the plan cache's
+  // miss path: ITA over the raw relation, then the greedy build over its
+  // output.
+  const bench::PairedTiming paired = bench::TimePaired(
+      [&] {
+        auto loaded = LoadIndex(path);
+        PTA_CHECK_MSG(loaded.ok(), loaded.status().message().c_str());
+      },
+      [&] {
+        auto aggregated = Ita(raw, spec);
+        PTA_CHECK(aggregated.ok());
+        auto rebuilt = PtaIndex::Build(std::move(*aggregated));
+        PTA_CHECK(rebuilt.ok());
+      },
+      kReps);
+  result.load_seconds = paired.best_a;
+  result.rebuild_seconds = paired.best_b;
+  result.load_speedup = paired.median_ratio;
 
   // --- the regression gate: the reloaded index IS the saved one ---------
   auto loaded = LoadIndex(path);
@@ -159,7 +163,7 @@ void PrintRecord(const WorkloadResult& r) {
       "\"load_seconds\": %.6f, \"load_speedup\": %.1f, \"identical\": %s}\n",
       r.name.c_str(), r.raw_tuples, r.n, r.bytes, r.rebuild_seconds,
       r.serialize_seconds, r.deserialize_seconds, r.save_seconds,
-      r.load_seconds, r.load_speedup(), r.identical ? "true" : "false");
+      r.load_seconds, r.load_speedup, r.identical ? "true" : "false");
 }
 
 }  // namespace
@@ -208,9 +212,8 @@ int main(int argc, char** argv) {
   PrintRecord(a);
   PrintRecord(b);
 
-  const double worst_speedup = a.load_speedup() < b.load_speedup()
-                                   ? a.load_speedup()
-                                   : b.load_speedup();
+  const double worst_speedup =
+      a.load_speedup < b.load_speedup ? a.load_speedup : b.load_speedup;
   const bool identical = a.identical && b.identical;
   const bool speedup_ok = worst_speedup >= 10.0;
   std::printf(

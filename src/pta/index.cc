@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "pta/merge_heap.h"
@@ -485,14 +486,15 @@ Result<PtaIndex> PtaIndex::FromParts(SequentialRelation input,
   // nodes that already exist (index < n + j), its group must agree with
   // both children, and its interval must be their hull. Everything the cut
   // walks rely on follows from this — no descent can go out of bounds or
-  // loop.
-  std::vector<bool> consumed(n + m, false);
-  std::vector<int32_t> node_group(n + m);
-  std::vector<Interval> node_t(n + m);
-  for (size_t i = 0; i < n; ++i) {
-    node_group[i] = input.group(i);
-    node_t[i] = input.interval(i);
-  }
+  // loop. A child's group and interval are read where they are stored: in
+  // its leaf row, or in the already checked merge that created it.
+  std::vector<uint8_t> consumed(n + m, 0);
+  const auto group_of = [&](size_t x) {
+    return x < n ? input.group(x) : merges[x - n].group;
+  };
+  const auto interval_of = [&](size_t x) {
+    return x < n ? input.interval(x) : merges[x - n].t;
+  };
   for (size_t j = 0; j < m; ++j) {
     const MergeNode& node = merges[j];
     const auto in_range = [&](int32_t x) {
@@ -509,11 +511,11 @@ Result<PtaIndex> PtaIndex::FromParts(SequentialRelation input,
       return Status::InvalidArgument("merge " + std::to_string(j) +
                                      " reuses an already-merged node");
     }
-    if (node.group != node_group[l] || node.group != node_group[r]) {
+    if (node.group != group_of(l) || node.group != group_of(r)) {
       return Status::InvalidArgument("merge " + std::to_string(j) +
                                      " crosses aggregation groups");
     }
-    const Interval hull = Interval::Hull(node_t[l], node_t[r]);
+    const Interval hull = Interval::Hull(interval_of(l), interval_of(r));
     if (!(node.t == hull)) {
       return Status::InvalidArgument(
           "merge " + std::to_string(j) +
@@ -521,9 +523,21 @@ Result<PtaIndex> PtaIndex::FromParts(SequentialRelation input,
     }
     consumed[l] = true;
     consumed[r] = true;
-    node_group[n + j] = node.group;
-    node_t[n + j] = node.t;
   }
+
+  // Roots are recomputed, never trusted from the caller, in Build's order:
+  // by the row of their leftmost leaf. A hull-checked node begins where
+  // that leaf does, and the leaves are sorted by (group, begin), so the
+  // roots sort by (group, begin) too.
+  std::vector<std::tuple<int32_t, Chronon, int32_t>> roots;
+  roots.reserve(n - m);
+  for (size_t x = 0; x < n + m; ++x) {
+    if (!consumed[x]) {
+      roots.emplace_back(group_of(x), interval_of(x).begin,
+                         static_cast<int32_t>(x));
+    }
+  }
+  std::sort(roots.begin(), roots.end());
 
   PtaIndex index;
   index.input_ = std::move(input);
@@ -533,20 +547,8 @@ Result<PtaIndex> PtaIndex::FromParts(SequentialRelation input,
   index.cum_ = std::move(cumulative);
   index.weights_ = std::move(weights);
   index.merge_across_gaps_ = merge_across_gaps;
-
-  // Roots are recomputed exactly as Build does, never trusted from the
-  // caller — the frontier-at-merges() invariant holds by construction.
-  std::vector<int32_t> lo(n + m);
-  for (size_t i = 0; i < n; ++i) lo[i] = static_cast<int32_t>(i);
-  for (size_t j = 0; j < m; ++j) {
-    lo[n + j] = lo[static_cast<size_t>(index.merges_[j].left)];
-  }
-  index.roots_.reserve(n - m);
-  for (size_t x = 0; x < consumed.size(); ++x) {
-    if (!consumed[x]) index.roots_.push_back(static_cast<int32_t>(x));
-  }
-  std::sort(index.roots_.begin(), index.roots_.end(),
-            [&lo](int32_t a, int32_t b) { return lo[a] < lo[b]; });
+  index.roots_.reserve(roots.size());
+  for (const auto& root : roots) index.roots_.push_back(std::get<2>(root));
   return index;
 }
 

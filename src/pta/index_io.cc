@@ -307,9 +307,9 @@ Status SaveIndex(const PtaIndex& index, const std::string& path) {
 }
 
 Result<PtaIndex> LoadIndex(const std::string& path) {
-  std::string bytes;
-  PTA_RETURN_IF_ERROR(io::ReadFile(path, &bytes));
-  return DeserializeIndex(bytes);
+  io::FileBytes file;
+  PTA_RETURN_IF_ERROR(file.Open(path));
+  return DeserializeIndex(file.bytes());
 }
 
 }  // namespace pta

@@ -53,11 +53,14 @@ std::string SerializeIndex(const PtaIndex& index);
 /// serialized.
 [[nodiscard]] Result<PtaIndex> DeserializeIndex(std::string_view bytes);
 
-/// SerializeIndex + atomic-enough file write (IoError on failure).
+/// SerializeIndex + an atomic file replace (io::WriteFile: temporary file
+/// + rename; IoError on failure).
 [[nodiscard]] Status SaveIndex(const PtaIndex& index, const std::string& path);
 
-/// ReadFile + DeserializeIndex (IoError when the file cannot be read,
-/// InvalidArgument when its bytes are malformed).
+/// DeserializeIndex over the file mapped read-only (io::FileBytes), or
+/// read into memory when it cannot be mapped (a pipe, an empty file).
+/// Same statuses as DeserializeIndex on the file's bytes, plus IoError
+/// when the file cannot be read.
 [[nodiscard]] Result<PtaIndex> LoadIndex(const std::string& path);
 
 }  // namespace pta

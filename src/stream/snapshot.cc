@@ -227,7 +227,10 @@ StreamingPtaEngine::RestoreSnapshot(std::string_view bytes) {
       return Corrupt("group ids not strictly ascending");
     }
     prev_group = group_id;
-    if (num_pending == 0 && num_chain == 0) {
+    // Only Finalize leaves a group without state: it drops the pending
+    // rows of a fully sealed group that no TakeEmitted has released yet.
+    const bool stateless = num_pending == 0 && num_chain == 0;
+    if (stateless && !engine->finalized_) {
       return Corrupt("group without state");
     }
     // One pending row needs 16 + 8p bytes, one chain node 40 + 8p; bound
@@ -295,7 +298,8 @@ StreamingPtaEngine::RestoreSnapshot(std::string_view bytes) {
       prev = h;
     }
     if (group.head >= 0) engine->QueueForSealing(group_id, group);
-    if (num_pending > 0) engine->emitting_.push_back(group_id);
+    // A stateless group is listed too, so TakeEmitted releases it.
+    if (num_pending > 0 || stateless) engine->emitting_.push_back(group_id);
   }
   engine->heap_.RestoreCounters(next_id, last_gap_id, before_gap, after_gap);
   if (r.remaining() != 0) return Corrupt("trailing bytes after snapshot");

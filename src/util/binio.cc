@@ -1,5 +1,11 @@
 #include "util/binio.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdio>
 
 namespace pta {
@@ -208,14 +214,12 @@ Status ReadFile(const std::string& path, std::string* out) {
     return Status::IoError("cannot open '" + path + "' for reading");
   }
   out->clear();
-  // Size the buffer up front when the file is seekable — an index can run
-  // to tens of megabytes, and growth-by-append reallocation is measurable
-  // against the warm-start load path. Streams that refuse to seek (pipes)
-  // fall back to append-and-grow below.
-  if (std::fseek(f, 0, SEEK_END) == 0) {
-    const long size = std::ftell(f);
-    if (size > 0) out->reserve(static_cast<size_t>(size));
-    std::rewind(f);
+  // Size the buffer up front for a regular file. Anything else grows by
+  // appending: a pipe has no size, and a directory seeks to a bogus
+  // LONG_MAX end.
+  struct stat st;
+  if (::fstat(fileno(f), &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
+    out->reserve(static_cast<size_t>(st.st_size));
   }
   char buf[1 << 16];
   size_t got;
@@ -229,18 +233,57 @@ Status ReadFile(const std::string& path, std::string* out) {
 }
 
 Status WriteFile(const std::string& path, std::string_view bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
+  // Unique among live writers: the pid, then a per-process counter.
+  static std::atomic<uint64_t> counter{0};
+  const std::string temp = path + ".tmp" + std::to_string(getpid()) + "." +
+                           std::to_string(counter.fetch_add(1));
+  const int fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0666);
+  if (fd < 0) {
     return Status::IoError("cannot open '" + path + "' for writing");
   }
-  const size_t wrote = bytes.empty()
-                           ? 0
-                           : std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool bad = wrote != bytes.size() || std::fclose(f) != 0;
-  if (bad) {
+  size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t wrote = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (wrote <= 0) break;
+    done += static_cast<size_t>(wrote);
+  }
+  const bool bad = done != bytes.size();
+  if (::close(fd) != 0 || bad || std::rename(temp.c_str(), path.c_str()) != 0) {
+    std::remove(temp.c_str());
     return Status::IoError("error while writing '" + path + "'");
   }
   return Status::Ok();
+}
+
+FileBytes::~FileBytes() {
+  if (map_ != nullptr) ::munmap(map_, map_size_);
+}
+
+Status FileBytes::Open(const std::string& path) {
+  // Only a regular file is opened here: opening a FIFO twice would leave
+  // its writer without a reader between the two opens.
+  struct stat st;
+  const int fd = ::stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode)
+                     ? ::open(path.c_str(), O_RDONLY | O_CLOEXEC)
+                     : -1;
+  if (fd >= 0 && ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) &&
+      st.st_size > 0) {
+    void* map = ::mmap(nullptr, static_cast<size_t>(st.st_size), PROT_READ,
+                       MAP_PRIVATE, fd, 0);
+    if (map != MAP_FAILED) {
+      map_ = map;
+      map_size_ = static_cast<size_t>(st.st_size);
+    }
+  }
+  if (fd >= 0) ::close(fd);
+  return map_ != nullptr ? Status::Ok() : ReadFile(path, &read_);
+}
+
+std::string_view FileBytes::bytes() const {
+  return map_ != nullptr
+             ? std::string_view(static_cast<const char*>(map_), map_size_)
+             : std::string_view(read_);
 }
 
 }  // namespace io

@@ -151,8 +151,35 @@ class ByteReader {
 
 /// Reads a whole file into *out; IoError when it cannot be opened or read.
 [[nodiscard]] Status ReadFile(const std::string& path, std::string* out);
-/// Writes bytes to a file, replacing it; IoError on failure.
+/// Replaces a file with `bytes` atomically: writes a temporary file in the
+/// same directory and renames it over `path`, so readers (and a crash
+/// mid-write) see the old file or the new one, never a torn or truncated
+/// one. IoError on failure, with the temporary removed.
 [[nodiscard]] Status WriteFile(const std::string& path, std::string_view bytes);
+
+/// \brief A whole file's bytes, mapped read-only where possible.
+///
+/// A regular non-empty file is mmap'ed: its page-cache pages are shared,
+/// not copied into fresh memory. Anything that cannot be mapped (a pipe, a
+/// directory, an empty file, a failed mmap) falls back to ReadFile, with
+/// its diagnostics. The mapping is private and read-only, and files are
+/// only ever replaced by rename (WriteFile), so it stays valid until
+/// destruction — unless another program truncates the file in place.
+class FileBytes {
+ public:
+  FileBytes() = default;
+  FileBytes(const FileBytes&) = delete;
+  FileBytes& operator=(const FileBytes&) = delete;
+  ~FileBytes();
+
+  [[nodiscard]] Status Open(const std::string& path);
+  std::string_view bytes() const;
+
+ private:
+  void* map_ = nullptr;
+  size_t map_size_ = 0;
+  std::string read_;  // the ReadFile fallback
+};
 
 }  // namespace io
 }  // namespace pta

@@ -8,11 +8,15 @@
 // under AddressSanitizer + UBSan; --tsan runs it too (persist label).
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -317,6 +321,94 @@ TEST(IndexIoFuzzTest, NonFiniteValuesAreRejected) {
           << restored.status().message();
     }
   }
+}
+
+// LoadIndex maps the file (or reads it when it cannot be mapped) and runs
+// the one parser, so a file holding any byte string loads exactly as
+// DeserializeIndex parses those bytes: same status code, same message, and
+// on success the same index.
+TEST(IndexIoFuzzTest, LoadIndexMatchesDeserializeIndex) {
+  const std::string path = ::testing::TempDir() + "index_io_fuzz." +
+                           std::to_string(getpid()) + ".ptaidx";
+  size_t compared = 0;
+  const auto expect_same = [&](const std::string& bytes) {
+    ASSERT_TRUE(io::WriteFile(path, bytes).ok());
+    auto from_file = LoadIndex(path);
+    auto from_bytes = DeserializeIndex(bytes);
+    ASSERT_EQ(from_file.ok(), from_bytes.ok()) << bytes.size() << " bytes";
+    if (from_file.ok()) {
+      EXPECT_EQ(SerializeIndex(*from_file), SerializeIndex(*from_bytes));
+    } else {
+      EXPECT_EQ(from_file.status().code(), from_bytes.status().code());
+      EXPECT_EQ(from_file.status().message(), from_bytes.status().message());
+    }
+    ++compared;
+  };
+
+  Random rng(19);
+  for (const std::string& bytes : {SmallIndexBytes(), BigIndexBytes()}) {
+    auto index = DeserializeIndex(bytes);
+    ASSERT_TRUE(index.ok());
+    const size_t n = index->input_size();
+    const size_t p = index->num_aggregates();
+    const size_t m = index->merges();
+    // Section starts of the format: the header fields, the leaf columns,
+    // then (counted back from the end) the weights, merge nodes, payloads,
+    // deltas, the cumulative curve and the checksum.
+    const size_t leaves = 64;
+    const size_t keys = leaves + 4 * n + 16 * n + 8 * n * p;
+    const size_t checksum = bytes.size() - 8;
+    const size_t cumulative = checksum - 8 * (m + 1);
+    const size_t deltas = cumulative - 8 * m;
+    const size_t payloads = deltas - 8 * m * p;
+    const size_t nodes = payloads - 28 * m;
+    const size_t weights = nodes - 8 * index->weights().size();
+    for (const size_t boundary :
+         {size_t{0}, size_t{8}, size_t{12}, size_t{16}, leaves, leaves + 4 * n,
+          leaves + 20 * n, keys, weights, nodes, payloads, deltas, cumulative,
+          checksum, bytes.size()}) {
+      for (const size_t keep : {boundary - 1, boundary, boundary + 1}) {
+        if (keep <= bytes.size()) expect_same(bytes.substr(0, keep));
+      }
+    }
+    // Byte flips, half of them checksum-repaired so they reach FromParts.
+    for (int iter = 0; iter < 200; ++iter) {
+      std::string corrupt = bytes;
+      const size_t pos =
+          static_cast<size_t>(rng.UniformInt(0, corrupt.size() - 1));
+      corrupt[pos] =
+          static_cast<char>(corrupt[pos] ^ (1 << rng.UniformInt(0, 7)));
+      expect_same(iter % 2 == 0 ? corrupt : FixChecksum(std::move(corrupt)));
+    }
+  }
+  expect_same("");                           // empty: read, not mapped
+  expect_same(SmallIndexBytes().substr(0, 20));  // shorter than the header
+  EXPECT_GE(compared, 400u);
+  std::remove(path.c_str());
+
+  // A directory cannot be read: the same IoError as ReadFile.
+  std::string ignored;
+  const Status read_dir = io::ReadFile(::testing::TempDir(), &ignored);
+  auto load_dir = LoadIndex(::testing::TempDir());
+  ASSERT_FALSE(load_dir.ok());
+  EXPECT_EQ(load_dir.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(load_dir.status().message(), read_dir.message());
+
+  // A FIFO cannot be mapped: LoadIndex reads it as a stream instead.
+  const std::string fifo = path + ".fifo";
+  ASSERT_EQ(mkfifo(fifo.c_str(), 0600), 0);
+  const std::string bytes = BigIndexBytes();
+  std::thread writer([&] {
+    std::FILE* f = std::fopen(fifo.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  });
+  auto from_fifo = LoadIndex(fifo);
+  writer.join();
+  std::remove(fifo.c_str());
+  ASSERT_TRUE(from_fifo.ok()) << from_fifo.status().ToString();
+  EXPECT_EQ(SerializeIndex(*from_fifo), bytes);
 }
 
 }  // namespace

@@ -19,11 +19,15 @@
 #include "pta/index_io.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "pta/greedy.h"
@@ -313,6 +317,59 @@ TEST(IndexIoTest, SaveAndLoadThroughAFile) {
 TEST(IndexIoTest, MissingFileIsAnIoError) {
   auto loaded = LoadIndex(::testing::TempDir() + "does_not_exist.ptaidx");
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+}
+
+// Saves replace the file by rename, so a load racing a re-save reads the
+// old index or the new one, never a torn or truncated file.
+TEST(IndexIoTest, LoadsRacingResavesSeeWholeFiles) {
+  const std::string path = ::testing::TempDir() + "index_io_race." +
+                           std::to_string(getpid()) + ".ptaidx";
+  const PtaIndex a = BuildOrDie(RandomSequential(3000, 2, 3, 0.1, 5));
+  const PtaIndex b = BuildOrDie(RandomSequential(2000, 2, 4, 0.3, 6));
+  const std::string a_bytes = SerializeIndex(a);
+  const std::string b_bytes = SerializeIndex(b);
+  ASSERT_TRUE(SaveIndex(a, path).ok());
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int i = 0; i < 60; ++i) {
+      EXPECT_TRUE(SaveIndex(i % 2 == 0 ? b : a, path).ok());
+    }
+    done = true;
+  });
+  size_t loads = 0;
+  while (!done || loads < 20) {
+    auto loaded = LoadIndex(path);
+    EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+    if (!loaded.ok()) break;  // still join the writer below
+    const std::string bytes = SerializeIndex(*loaded);
+    EXPECT_TRUE(bytes == a_bytes || bytes == b_bytes);
+    ++loads;
+  }
+  writer.join();
+  std::remove(path.c_str());
+}
+
+// A failed save reports IoError and leaves no temporary file behind.
+TEST(IndexIoTest, FailedSavesLeaveNoTemporaryFile) {
+  namespace fs = std::filesystem;
+  const PtaIndex index = BuildOrDie(MakeProjIta());
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("index_io_save." + std::to_string(getpid()));
+  fs::remove_all(dir);
+  const Status missing = SaveIndex(index, (dir / "x.ptaidx").string());
+  EXPECT_EQ(missing.code(), StatusCode::kIoError);
+  EXPECT_FALSE(fs::exists(dir));
+  // The temporary is written, but the rename onto a directory fails.
+  ASSERT_TRUE(fs::create_directories(dir / "target"));
+  const Status onto_dir = SaveIndex(index, (dir / "target").string());
+  EXPECT_EQ(onto_dir.code(), StatusCode::kIoError);
+  size_t entries = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename(), "target");
+    ++entries;
+  }
+  EXPECT_EQ(entries, 1u);
+  fs::remove_all(dir);
 }
 
 // ---- streaming snapshots -----------------------------------------------

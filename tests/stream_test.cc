@@ -16,6 +16,7 @@
 #include "pta/greedy.h"
 #include "stream/sharded_stream.h"
 #include "test_util.h"
+#include "util/binio.h"
 #include "util/random.h"
 
 namespace pta {
@@ -842,6 +843,45 @@ TEST(StreamStateTest, TakeEmittedReleasesFinishedGroups) {
   seg.t = Interval(2000, 2000);
   EXPECT_TRUE(engine.Ingest(seg).ok());
   EXPECT_EQ(engine.live_rows(), 1u);
+}
+
+// Finalize drops the pending rows of a group whose chain sealed entirely
+// before it, but keeps the group until TakeEmitted releases it, so the
+// finalized snapshot holds a group without state. It restores, re-saves
+// to the same bytes, and drains exactly as the original engine does.
+TEST(StreamStateTest, FinalizedSnapshotWithASealedGroupRestores) {
+  StreamingOptions options;
+  options.size_budget = 2;
+  StreamingPtaEngine engine(1, options);
+  for (const auto& [g, t] : std::vector<std::pair<int32_t, Chronon>>{
+           {0, 0}, {0, 1}, {0, 2}, {1, 100}, {1, 101}, {1, 102}}) {
+    ASSERT_TRUE(engine.Ingest(Segment{g, Interval(t, t), {1.0 + t}}).ok());
+  }
+  ASSERT_TRUE(engine.AdvanceWatermark(50).ok());  // group 0 seals entirely
+  ASSERT_GT(engine.pending_rows(), 0u);
+  ASSERT_TRUE(engine.Finalize().ok());
+  const std::string finalized = engine.SaveSnapshot();
+
+  auto restored = StreamingPtaEngine::RestoreSnapshot(finalized);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  StreamingPtaEngine& back = **restored;
+  EXPECT_EQ(back.SaveSnapshot(), finalized);
+  testing::ExpectByteIdentical(back.TakeEmitted(), engine.TakeEmitted());
+  EXPECT_EQ(back.SaveSnapshot(), engine.SaveSnapshot());
+  EXPECT_NE(engine.SaveSnapshot(), finalized);  // the group was released
+
+  // Only a finalized engine can hold a group without state: the same
+  // bytes with the finalized flag cleared are corrupt.
+  std::string live = finalized;
+  live[12] = static_cast<char>(live[12] & ~0x02);
+  const uint64_t sum = io::Checksum64(live.data(), live.size() - 8);
+  for (int i = 0; i < 8; ++i) {
+    live[live.size() - 8 + i] = static_cast<char>((sum >> (8 * i)) & 0xff);
+  }
+  auto rejected = StreamingPtaEngine::RestoreSnapshot(live);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().message(),
+            "corrupt PTA snapshot: group without state");
 }
 
 }  // namespace
