@@ -168,7 +168,7 @@ Result<SequentialRelation> Reaggregate(const PtaIndex& index,
     out.Append(NodeGroup(index, x), NodeInterval(index, x),
                values.data() + static_cast<size_t>(x) * p);
   }
-  out.SetGroupKeys(index.input().group_keys());
+  out.ShareGroupKeys(index.input().shared_group_keys());
   out.SetValueNames(index.input().value_names());
   return out;
 }

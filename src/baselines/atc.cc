@@ -16,7 +16,7 @@ Result<Reduction> AtcReduce(const SequentialRelation& ita, double threshold,
   Reduction out;
   out.relation = SequentialRelation(
       p, std::vector<std::string>(ita.value_names()));
-  out.relation.SetGroupKeys(ita.group_keys());
+  out.relation.ShareGroupKeys(ita.shared_group_keys());
   if (ita.empty()) return out;
 
   // Running statistics of the open segment: with sum_l, sum_lv, sum_lv2 the

@@ -7,6 +7,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "util/parallel_sort.h"
 #include "util/thread_pool.h"
 
 namespace pta {
@@ -180,6 +181,7 @@ Status ItaStream::Load(const TemporalRelation& rel,
     ranges[r].dense.resize(keys.size());
   });
   std::vector<size_t> head(num_ranges, 0);
+  std::vector<GroupKey> group_keys;
   while (true) {
     size_t best = num_ranges;
     for (size_t r = 0; r < num_ranges; ++r) {
@@ -193,16 +195,17 @@ Status ItaStream::Load(const TemporalRelation& rel,
     if (best == num_ranges) break;
     const uint32_t local = sorted[best][head[best]++];
     GroupKey& key = ranges[best].keys[local];
-    if (group_keys_.empty() || GroupKeyLess(group_keys_.back(), key)) {
-      group_keys_.push_back(std::move(key));
+    if (group_keys.empty() || GroupKeyLess(group_keys.back(), key)) {
+      group_keys.push_back(std::move(key));
     }
-    ranges[best].dense[local] =
-        static_cast<uint32_t>(group_keys_.size() - 1);
+    ranges[best].dense[local] = static_cast<uint32_t>(group_keys.size() - 1);
   }
+  const size_t num_groups = group_keys.size();
+  group_keys_ =
+      std::make_shared<const std::vector<GroupKey>>(std::move(group_keys));
 
   // Each group's first row, then each range's first row in every group it
   // touches: a group's rows keep input order across ranges.
-  const size_t num_groups = group_keys_.size();
   group_begin_.assign(num_groups + 1, 0);
   for (const Range& range : ranges) {
     for (size_t l = 0; l < range.dense.size(); ++l) {
@@ -256,7 +259,7 @@ Status ItaStream::Load(const TemporalRelation& rel,
 }
 
 void ItaStream::BuildUnits() {
-  const size_t num_groups = group_keys_.size();
+  const size_t num_groups = group_begin_.size() - 1;
   const size_t num_events = 2 * group_begin_.back();
 
   // Tasks of whole groups, about four per thread; a group is one sort.
@@ -276,6 +279,13 @@ void ItaStream::BuildUnits() {
   // group end is such a point, so each task knows where the previous one
   // stood at its first group.
   std::vector<std::vector<size_t>> cuts(task_begin.size() - 1);
+  // One task runs inline on this thread (RunTasks), so its sorts may use
+  // the otherwise idle pool; several tasks already fill it.
+  ThreadPool* sort_pool = nullptr;
+  if (cuts.size() == 1 && num_threads_ > 1) {
+    if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(num_threads_);
+    sort_pool = pool_.get();
+  }
   RunTasks(cuts.size(), [&](size_t task) {
     for (size_t g = task_begin[task]; g < task_begin[task + 1]; ++g) {
       const size_t lo = 2 * group_begin_[g];
@@ -287,12 +297,14 @@ void ItaStream::BuildUnits() {
       // events of one kind keep whatever order the sort leaves them in, and
       // running sums depend on that order — so neither the initial sequence
       // (start, end per row, rows in group order) nor the comparator may
-      // change without re-pinning the sweep's output bits.
-      std::sort(events_.get() + lo, events_.get() + hi,
-                [](const TupleEvent& a, const TupleEvent& b) {
-                  if (a.time != b.time) return a.time < b.time;
-                  return a.is_start() < b.is_start();
-                });
+      // change without re-pinning the sweep's output bits. ParallelIntroSort
+      // leaves std::sort's order, at any thread count.
+      ParallelIntroSort(events_.get() + lo, events_.get() + hi,
+                        [](const TupleEvent& a, const TupleEvent& b) {
+                          if (a.time != b.time) return a.time < b.time;
+                          return a.is_start() < b.is_start();
+                        },
+                        sort_pool);
       int64_t active = 0;
       size_t last_zero = lo;
       for (size_t e = lo; e < hi;) {
@@ -462,7 +474,7 @@ Result<SequentialRelation> Ita(const TemporalRelation& rel,
   // A group of k tuples yields at most 2k - 1 result tuples. Reserving the
   // bound up front costs no resident memory beyond what is written, and
   // spares the copies of geometric growth.
-  const size_t bound = 2 * rel.size() - s.group_keys_.size();
+  const size_t bound = 2 * rel.size() - s.group_keys().size();
   std::vector<int32_t> groups;
   std::vector<Interval> intervals;
   std::vector<double> values;
@@ -480,7 +492,7 @@ Result<SequentialRelation> Ita(const TemporalRelation& rel,
   SequentialRelation out(p, s.value_names());
   out.AdoptColumns(std::move(groups), std::move(intervals),
                    std::move(values));
-  out.SetGroupKeys(std::move(s.group_keys_));
+  out.ShareGroupKeys(s.shared_group_keys());
   return out;
 }
 

@@ -93,7 +93,13 @@ class ItaStream : public SegmentSource {
   bool Next(Segment* out) override;
 
   /// Group keys in dense-id order (valid immediately after construction).
-  const std::vector<GroupKey>& group_keys() const { return group_keys_; }
+  const std::vector<GroupKey>& group_keys() const { return *group_keys_; }
+  /// The same keys as shared, immutable storage: results built from this
+  /// stream point at it (SequentialRelation::ShareGroupKeys).
+  const std::shared_ptr<const std::vector<GroupKey>>& shared_group_keys()
+      const {
+    return group_keys_;
+  }
   /// Result attribute names B_1 ... B_p.
   std::vector<std::string> value_names() const;
 
@@ -143,7 +149,7 @@ class ItaStream : public SegmentSource {
   // group_begin_[g + 1]) and events [2 * group_begin_[g],
   // 2 * group_begin_[g + 1]); a row keeps the relative tuple order of its
   // group, and row r starts as events 2r (start) and 2r + 1 (end).
-  std::vector<GroupKey> group_keys_;
+  std::shared_ptr<const std::vector<GroupKey>> group_keys_;
   std::vector<size_t> group_begin_;
   std::unique_ptr<TupleEvent[]> events_;  // then each group's in time order
   std::unique_ptr<double[]> columns_;     // rows * p aggregate inputs

@@ -134,7 +134,7 @@ class DpSolver {
     SequentialRelation& rel = out.relation;
     rel = SequentialRelation(rel_.num_aggregates(),
                              std::vector<std::string>(rel_.value_names()));
-    rel.SetGroupKeys(rel_.group_keys());
+    rel.ShareGroupKeys(rel_.shared_group_keys());
 
     std::vector<std::pair<size_t, size_t>> runs;  // 0-based [from, to]
     size_t i = n_;

@@ -89,7 +89,7 @@ Result<Reduction> GmsReduceToSize(const SequentialRelation& ita, size_t c,
   }
   FillStats(heap, merges, 0, stats);
   Reduction out{heap.ExtractRelation(head), total};
-  out.relation.SetGroupKeys(ita.group_keys());
+  out.relation.ShareGroupKeys(ita.shared_group_keys());
   out.relation.SetValueNames(ita.value_names());
   return out;
 }
@@ -125,7 +125,7 @@ Result<Reduction> GmsReduceToError(const SequentialRelation& ita, double eps,
   }
   FillStats(heap, merges, 0, stats);
   Reduction out{heap.ExtractRelation(head), total};
-  out.relation.SetGroupKeys(ita.group_keys());
+  out.relation.ShareGroupKeys(ita.shared_group_keys());
   out.relation.SetValueNames(ita.value_names());
   return out;
 }

@@ -620,7 +620,7 @@ Reduction PtaIndex::MaterializeCut(const std::vector<int32_t>& frontier,
   out.relation = SequentialRelation(input_.num_aggregates());
   out.relation.Reserve(frontier.size());
   for (const int32_t x : frontier) AppendNode(&out.relation, x);
-  out.relation.SetGroupKeys(input_.group_keys());
+  out.relation.ShareGroupKeys(input_.shared_group_keys());
   out.relation.SetValueNames(input_.value_names());
   out.error = cum_[m];
   return out;
@@ -649,7 +649,7 @@ Reduction PtaIndex::EmitCut(size_t m) const {
       }
     }
   }
-  out.relation.SetGroupKeys(input_.group_keys());
+  out.relation.ShareGroupKeys(input_.shared_group_keys());
   out.relation.SetValueNames(input_.value_names());
   out.error = cum_[m];
   return out;

@@ -677,7 +677,7 @@ Result<PtaResult> ExecGreedyOverRelation(const PtaPlan& plan,
                                 estimates, greedy, stats);
   auto out = FromReduction(std::move(reduced), source.count());
   if (!out.ok()) return out;
-  out->relation.SetGroupKeys((*stream)->group_keys());
+  out->relation.ShareGroupKeys((*stream)->shared_group_keys());
   out->relation.SetValueNames((*stream)->value_names());
   return out;
 }
@@ -698,7 +698,7 @@ Result<PtaResult> ExecParallelOverRelation(const PtaPlan& plan,
                                   reduce, stats);
   auto out = FromReduction(std::move(reduced), shards->total_size());
   if (!out.ok()) return out;
-  out->relation.SetGroupKeys((*stream)->group_keys());
+  out->relation.ShareGroupKeys((*stream)->shared_group_keys());
   out->relation.SetValueNames((*stream)->value_names());
   return out;
 }
@@ -749,7 +749,7 @@ Result<PtaResult> ExecGreedyOverSequential(const PtaPlan& plan,
                                 estimates, greedy, stats);
   auto out = FromReduction(std::move(reduced), plan.sequential->size());
   if (!out.ok()) return out;
-  out->relation.SetGroupKeys(plan.sequential->group_keys());
+  out->relation.ShareGroupKeys(plan.sequential->shared_group_keys());
   out->relation.SetValueNames(plan.sequential->value_names());
   return out;
 }
@@ -774,7 +774,7 @@ Result<PtaResult> ExecParallelOverSequential(const PtaPlan& plan,
                                   reduce, stats);
   auto out = FromReduction(std::move(reduced), shards->total_size());
   if (!out.ok()) return out;
-  out->relation.SetGroupKeys(plan.sequential->group_keys());
+  out->relation.ShareGroupKeys(plan.sequential->shared_group_keys());
   out->relation.SetValueNames(plan.sequential->value_names());
   return out;
 }

@@ -39,6 +39,15 @@ void SequentialRelation::AdoptColumns(std::vector<int32_t> groups,
   values_ = std::move(values);
 }
 
+void SequentialRelation::SetGroupKeys(std::vector<GroupKey> keys) {
+  group_keys_ = std::make_shared<const std::vector<GroupKey>>(std::move(keys));
+}
+
+const std::vector<GroupKey>& SequentialRelation::NoGroupKeys() {
+  static const std::vector<GroupKey> kNone;
+  return kNone;
+}
+
 void SequentialRelation::SetValueNames(std::vector<std::string> names) {
   PTA_CHECK_MSG(names.empty() || names.size() == p_,
                 "value_names arity must match num_aggregates");
@@ -123,15 +132,16 @@ Result<TemporalRelation> SequentialRelation::ToTemporalRelation(
   }
   TemporalRelation out{Schema(std::move(attrs))};
   out.Reserve(size());
+  const std::vector<GroupKey>& keys = group_keys();
   for (size_t i = 0; i < size(); ++i) {
     std::vector<Value> row;
     row.reserve(group_schema.num_attributes() + p_);
-    if (!group_keys_.empty()) {
+    if (!keys.empty()) {
       const size_t gid = static_cast<size_t>(groups_[i]);
-      if (gid >= group_keys_.size()) {
+      if (gid >= keys.size()) {
         return Status::FailedPrecondition("group id without group key");
       }
-      const GroupKey& key = group_keys_[gid];
+      const GroupKey& key = keys[gid];
       if (key.size() != group_schema.num_attributes()) {
         return Status::InvalidArgument(
             "group schema arity does not match stored group keys");

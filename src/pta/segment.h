@@ -11,6 +11,7 @@
 #define PTA_PTA_SEGMENT_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -89,8 +90,27 @@ class SequentialRelation {
 
   /// Optional metadata: the group key behind each dense group id, and names
   /// of the aggregate value columns.
-  void SetGroupKeys(std::vector<GroupKey> keys) { group_keys_ = std::move(keys); }
-  const std::vector<GroupKey>& group_keys() const { return group_keys_; }
+  ///
+  /// Group keys are immutable once set and shared, not copied: a copy of a
+  /// relation, and every result built from one (cuts, ladders, reducer
+  /// outputs, via ShareGroupKeys), points at one reference-counted vector.
+  /// Nothing mutates that vector in place; SetGroupKeys and ShareGroupKeys
+  /// replace this relation's pointer and leave every other holder as it was.
+  void SetGroupKeys(std::vector<GroupKey> keys);
+  /// Points this relation at `keys` (null clears them) without copying.
+  void ShareGroupKeys(std::shared_ptr<const std::vector<GroupKey>> keys) {
+    group_keys_ = std::move(keys);
+  }
+  /// The keys in dense-id order; an empty vector when none were set.
+  const std::vector<GroupKey>& group_keys() const {
+    return group_keys_ != nullptr ? *group_keys_ : NoGroupKeys();
+  }
+  /// The shared storage behind group_keys() (null when none were set), for
+  /// ShareGroupKeys on a result derived from this relation.
+  const std::shared_ptr<const std::vector<GroupKey>>& shared_group_keys()
+      const {
+    return group_keys_;
+  }
   void SetValueNames(std::vector<std::string> names);
   const std::vector<std::string>& value_names() const { return value_names_; }
 
@@ -119,11 +139,13 @@ class SequentialRelation {
   std::string ToString() const;
 
  private:
+  static const std::vector<GroupKey>& NoGroupKeys();
+
   size_t p_ = 0;
   std::vector<int32_t> groups_;
   std::vector<Interval> intervals_;
   std::vector<double> values_;  // row-major, size() * p_
-  std::vector<GroupKey> group_keys_;
+  std::shared_ptr<const std::vector<GroupKey>> group_keys_;
   std::vector<std::string> value_names_;
 };
 

@@ -194,7 +194,7 @@ Result<SequentialRelation> RunStreaming(const Query& query,
     const SegmentView seg = tail->view(i);
     out.Append(seg.group, seg.t, seg.values);
   }
-  out.SetGroupKeys(ita.group_keys());
+  out.ShareGroupKeys(ita.shared_group_keys());
   stats->engine = pta::Engine::kStreaming;
   stats->error = handle->total_error();
   return out;

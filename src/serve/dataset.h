@@ -33,7 +33,10 @@ struct Dataset {
   std::string name;
   /// Queries hold this shared; UpdateDataset/DropDataset hold it
   /// exclusive. Mutations therefore never race an index build reading the
-  /// data, and queries on distinct datasets never contend.
+  /// data, and queries on distinct datasets never contend. The lock is
+  /// writer-preferring: a waiting writer blocks later readers, so each
+  /// server entry point takes it exactly once (never nested shared), and
+  /// UpdateDataset swaps the old data out under it but frees it after.
   mutable SharedMutex mu;
   std::optional<TemporalRelation> relation PTA_GUARDED_BY(mu);
   std::optional<SequentialRelation> sequential PTA_GUARDED_BY(mu);

@@ -155,7 +155,10 @@ Status PtaServer::UpdateDataset(const std::string& name,
     return Status::InvalidArgument(
         "dataset is sequential; update it with a SequentialRelation");
   }
-  *dataset->relation = std::move(data);
+  // The old data moves into `data` and is freed when the parameter dies,
+  // after the lock is released: readers queued behind this writer do not
+  // also wait for the free (tens of ms on large relations).
+  std::swap(*dataset->relation, data);
   // Same address, new contents: bump the generation so every index built
   // over the old data is unreachable. This runs under the exclusive lock,
   // so a query can never fingerprint new data against an old generation.
@@ -172,7 +175,7 @@ Status PtaServer::UpdateDataset(const std::string& name,
     return Status::InvalidArgument(
         "dataset is temporal; update it with a TemporalRelation");
   }
-  *dataset->sequential = std::move(data);
+  std::swap(*dataset->sequential, data);  // freed after the lock, as above
   PtaIndexCacheInvalidate(dataset->address());
   return Status::Ok();
 }

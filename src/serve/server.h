@@ -23,7 +23,13 @@
 // Threading model: PtaServer methods are thread-safe. Each dataset carries
 // a reader/writer lock — queries hold it shared, Update/Drop exclusive —
 // so cuts on one dataset run concurrently with cuts (and index builds) on
-// any dataset, and never concurrently with a mutation of their own.
+// any dataset, and never concurrently with a mutation of their own. The
+// lock prefers writers (util/mutex.h SharedMutex): once an UpdateDataset
+// waits, cuts that arrive later queue behind it instead of overtaking it,
+// so back-to-back cuts cannot starve an update. In exchange no entry point
+// may take a dataset's lock twice: every method below acquires it exactly
+// once, and a nested shared acquisition would deadlock behind a waiting
+// writer. UpdateDataset frees the replaced data after releasing the lock.
 // PtaSession is an immutable handle; one session may be used from many
 // threads at once, and sessions keep their dataset alive (shared
 // ownership) even across DropDataset. Sessions must not outlive the
@@ -132,7 +138,8 @@ class PtaSession {
   /// under the dataset's shared lock, then walks its recorded error curve.
   /// Like Cut, the first call per dataset generation pays the build; every
   /// further recommendation is O(k log k). Holdout criteria materialize
-  /// candidate cuts, so their callback runs under the shared lock too.
+  /// candidate cuts, so their callback runs under the shared lock too: it
+  /// must not call back into this dataset (see the threading model above).
   [[nodiscard]] Result<advisor::Advice> Advise(
       const advisor::AdvisorOptions& options) const;
 

@@ -1,10 +1,11 @@
 // Capability-annotated mutex wrappers for Clang Thread Safety Analysis.
 //
-// std::mutex / std::shared_mutex carry no capability attributes under
-// libstdc++, so `-Wthread-safety` cannot reason about them. These thin
-// wrappers attach the attributes (util/thread_annotations.h) while
-// delegating every operation to the standard types — zero behavioral
-// difference, same codegen after inlining.
+// std::mutex carries no capability attributes under libstdc++, so
+// `-Wthread-safety` cannot reason about it. Mutex is a thin wrapper that
+// attaches the attributes (util/thread_annotations.h) and delegates every
+// operation — zero behavioral difference, same codegen after inlining.
+// SharedMutex is a reader/writer lock of its own (see its comment): unlike
+// std::shared_mutex it prefers writers, so readers cannot starve them.
 //
 // Idiom:
 //
@@ -29,8 +30,9 @@
 #ifndef PTA_UTIL_MUTEX_H_
 #define PTA_UTIL_MUTEX_H_
 
+#include <condition_variable>
+#include <cstddef>
 #include <mutex>
-#include <shared_mutex>
 
 #include "util/thread_annotations.h"
 
@@ -54,20 +56,65 @@ class PTA_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// \brief std::shared_mutex with the "shared_mutex" capability attached.
+/// \brief A writer-preferring reader/writer lock with the "shared_mutex"
+/// capability attached.
+///
+/// Once a writer waits in Lock(), new LockShared() calls block until that
+/// writer (and any writer queued behind it) has acquired and released the
+/// lock; readers already inside finish first. A stream of overlapping
+/// readers therefore cannot keep a writer out, which a reader-preferring
+/// lock (glibc's std::shared_mutex) allows. The price is that shared
+/// acquisitions must not nest: a thread that holds the lock shared and
+/// asks for it shared again deadlocks behind a waiting writer. Take it
+/// once per operation. Neither side is recursive.
 class PTA_CAPABILITY("shared_mutex") SharedMutex {
  public:
   SharedMutex() = default;
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
 
-  void Lock() PTA_ACQUIRE() { mu_.lock(); }
-  void Unlock() PTA_RELEASE() { mu_.unlock(); }
-  void LockShared() PTA_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void UnlockShared() PTA_RELEASE_SHARED() { mu_.unlock_shared(); }
+  void Lock() PTA_ACQUIRE() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++waiting_writers_;
+    while (writer_ || readers_ != 0) writer_cv_.wait(lock);
+    --waiting_writers_;
+    writer_ = true;
+  }
+  void Unlock() PTA_RELEASE() {
+    std::lock_guard<std::mutex> lock(mu_);
+    writer_ = false;
+    if (waiting_writers_ != 0) {
+      writer_cv_.notify_one();
+    } else {
+      reader_cv_.notify_all();
+    }
+  }
+  void LockShared() PTA_ACQUIRE_SHARED() {
+    std::unique_lock<std::mutex> lock(mu_);
+    while (writer_ || waiting_writers_ != 0) reader_cv_.wait(lock);
+    ++readers_;
+  }
+  void UnlockShared() PTA_RELEASE_SHARED() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--readers_ == 0 && waiting_writers_ != 0) writer_cv_.notify_one();
+  }
+
+  /// Writers blocked in Lock() right now. A snapshot, for tests that must
+  /// know a writer queued before they go on.
+  size_t waiting_writers() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return waiting_writers_;
+  }
 
  private:
-  std::shared_mutex mu_;
+  // The state below is guarded by mu_, a plain std::mutex the analysis
+  // cannot see; every access is inside one of the methods above.
+  mutable std::mutex mu_;
+  std::condition_variable reader_cv_;  // writer_ cleared, no writer waits
+  std::condition_variable writer_cv_;  // lock free for one waiting writer
+  size_t readers_ = 0;
+  size_t waiting_writers_ = 0;
+  bool writer_ = false;
 };
 
 /// \brief Scoped exclusive hold of a Mutex.

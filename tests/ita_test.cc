@@ -346,6 +346,32 @@ TEST(ItaTest, StreamDrainAndThreadCountsMatchBatch) {
   }
 }
 
+// One group of 70,000 tuples, 140,000 events (past 2^17): the group is a
+// single task, so its event sort runs on the pool (util/parallel_sort.h).
+// Begins fall in [0, 9999], so nearly every instant carries tied events and
+// the running sums would show any change in their order.
+TEST(ItaTest, LargeSingleGroupSortsOnThePoolWithTheSerialBits) {
+  TemporalRelation rel{Schema({{"Load", ValueType::kInt64},
+                               {"Temp", ValueType::kDouble}})};
+  Random rng(2718);
+  for (int i = 0; i < 70000; ++i) {
+    const Chronon b = rng.UniformInt(0, 9999);
+    const Chronon e = b + rng.UniformInt(0, 40);
+    PTA_CHECK(rel.Insert({Value(rng.UniformInt(-1000, 1000)),
+                          Value(rng.Uniform(-50.0, 50.0))},
+                         Interval(b, e))
+                  .ok());
+  }
+  const ItaSpec spec = ClusteredSpec();
+  auto serial = Ita(rel, spec, 1);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_TRUE(serial->Validate().ok());
+  auto pooled = Ita(rel, spec, 4);
+  ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+  testing::ExpectByteIdentical(*pooled, *serial);
+  EXPECT_EQ(ItaDigest(*pooled), ItaDigest(*serial));
+}
+
 TEST(ItaTest, SignedZeroGroupValuesShareOneGroup) {
   // -0.0 and +0.0 are one grouping value; the stored key is the one seen
   // first in input order, so it prints as "-0".

@@ -6,9 +6,11 @@
 #include <optional>
 #include <string>
 
+#include "core/ita.h"
 #include "pta/dp.h"
 #include "pta/greedy.h"
 #include "pta/index.h"
+#include "pta/query.h"
 #include "test_util.h"
 
 namespace pta {
@@ -194,6 +196,95 @@ TEST(SegmentTest, ToTemporalRelationAttachesGroupKeysAndNames) {
   // Mismatched group schema arity fails.
   const Schema two({{"A", ValueType::kString}, {"B", ValueType::kString}});
   EXPECT_FALSE(rel.ToTemporalRelation(two).ok());
+}
+
+// ---- group keys: one immutable vector, shared, never copied ------------
+
+TEST(SegmentTest, CopiesShareGroupKeysAndSettingThemDetachesOnlyTheCopy) {
+  const SequentialRelation rel = MakeProjIta();
+  const std::vector<GroupKey> before = rel.group_keys();
+  SequentialRelation copy = rel;
+  EXPECT_EQ(&copy.group_keys(), &rel.group_keys());
+  EXPECT_EQ(copy.shared_group_keys(), rel.shared_group_keys());
+
+  copy.SetGroupKeys({{Value("X")}});
+  EXPECT_EQ(rel.group_keys(), before);
+  ASSERT_EQ(copy.group_keys().size(), 1u);
+  EXPECT_EQ(copy.group_keys()[0][0].AsString(), "X");
+  copy.ShareGroupKeys(nullptr);
+  EXPECT_TRUE(copy.group_keys().empty());
+  EXPECT_EQ(rel.group_keys(), before);
+
+  const SequentialRelation none(1);
+  EXPECT_TRUE(none.group_keys().empty());
+  EXPECT_EQ(none.shared_group_keys(), nullptr);
+}
+
+// Every result derived from a relation points at that relation's keys —
+// same storage, same values as the deep copies results used to carry.
+TEST(SegmentTest, CutsLaddersAndReducerResultsShareTheSourceKeys) {
+  const SequentialRelation rel =
+      testing::RandomSequential(/*n=*/200, /*p=*/2, /*num_groups=*/6,
+                                /*gap_probability=*/0.1, 5);
+  const std::vector<GroupKey> before = rel.group_keys();
+  const std::vector<GroupKey>* keys = &rel.group_keys();
+  const auto expect_shared = [&](const SequentialRelation& out,
+                                 const char* what) {
+    EXPECT_EQ(&out.group_keys(), keys) << what;
+    EXPECT_EQ(out.group_keys(), before) << what;
+  };
+
+  auto index = PtaIndex::Build(rel);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  expect_shared(index->input(), "index input");
+  auto cut = index->CutToSize(40);
+  ASSERT_TRUE(cut.ok());
+  expect_shared(cut->relation, "CutToSize");
+  auto error_cut = index->CutToError(0.2);
+  ASSERT_TRUE(error_cut.ok());
+  expect_shared(error_cut->relation, "CutToError");
+  auto ladder = index->MultiBudgetCut({30, 60, 120, 200});
+  ASSERT_TRUE(ladder.ok());
+  for (const Reduction& level : *ladder) {
+    expect_shared(level.relation, "MultiBudgetCut level");
+  }
+
+  auto gms = GmsReduceToSize(rel, 40);
+  ASSERT_TRUE(gms.ok());
+  expect_shared(gms->relation, "GmsReduceToSize");
+  auto gms_error = GmsReduceToError(rel, 0.2);
+  ASSERT_TRUE(gms_error.ok());
+  expect_shared(gms_error->relation, "GmsReduceToError");
+  auto dp = ReduceToSizeDp(rel, 40);
+  ASSERT_TRUE(dp.ok());
+  expect_shared(dp->relation, "ReduceToSizeDp");
+  for (const Engine engine : {Engine::kGreedy, Engine::kIndexed}) {
+    auto run = PtaQuery::OverSequential(rel)
+                   .Engine(engine)
+                   .Budget(Budget::Size(40))
+                   .Run();
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    expect_shared(run->relation, "PtaQuery");
+  }
+  PtaIndexCacheClear();
+}
+
+// Over a temporal input the keys come from ITA: Ita() hands its stream's
+// keys to the result, and reductions of that result share them in turn.
+TEST(SegmentTest, ReductionsOfAnItaResultShareItsKeys) {
+  const TemporalRelation rel = testing::MakeProjRelation();
+  const ItaSpec spec{{"Proj"}, {Avg("Sal", "AvgSal")}};
+  auto ita = Ita(rel, spec);
+  ASSERT_TRUE(ita.ok()) << ita.status().ToString();
+  EXPECT_EQ(ita->group_keys(), MakeProjIta().group_keys());
+  auto gms = GmsReduceToSize(*ita, 4);
+  ASSERT_TRUE(gms.ok());
+  EXPECT_EQ(&gms->relation.group_keys(), &ita->group_keys());
+  auto greedy =
+      PtaQuery::Over(rel).Spec(spec).Engine(Engine::kGreedy).Budget(
+          Budget::Size(4)).Run();
+  ASSERT_TRUE(greedy.ok()) << greedy.status().ToString();
+  EXPECT_EQ(greedy->relation.group_keys(), ita->group_keys());
 }
 
 TEST(SegmentTest, RelationSegmentSourceEnumeratesAll) {

@@ -356,6 +356,70 @@ TEST(PtaServerTest, UpdateDatasetKindCheckHoldsWriterLock) {
   PtaIndexCacheClear();
 }
 
+// Cut results share the served data's group keys (one reference-counted
+// vector), so dropping a result on a reader thread releases a reference
+// the writer's swap may be releasing at the same moment. Readers cut and
+// discard results while one thread updates a dataset in place and another
+// adds and drops a second one; TSan (label `serve`) checks the sharing and
+// the writer-preferring lock, and the final bytes must be the last swap's.
+TEST(PtaServerTest, CutsDropResultsWhileUpdatesAndDropsRun) {
+  PtaIndexCacheClear();
+  PtaServer server;
+  ASSERT_TRUE(server.AddDataset("seq", MakeSequential(3)).ok());
+  auto session = server.OpenSession("seq", ItaSpec{});
+  ASSERT_TRUE(session.ok());
+
+  constexpr int kRounds = 30;
+  std::atomic<bool> stop{false};
+  std::atomic<int> dropped_cuts{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      while (!stop) {
+        auto cut = session->Cut(Budget::Size(16 + 8 * t));
+        ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+        EXPECT_EQ(cut->relation.group_keys().size(), 1u);
+        auto ladder = session->ZoomLadder({8, 32, 64});
+        ASSERT_TRUE(ladder.ok()) << ladder.status().ToString();
+        dropped_cuts.fetch_add(1);
+      }
+    });
+  }
+  std::thread updater([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      ASSERT_TRUE(
+          server.UpdateDataset("seq", MakeSequential(3, 1.0 + i)).ok());
+    }
+  });
+  std::thread dropper([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      ASSERT_TRUE(server.AddDataset("tmp", MakeSequential(5 + i)).ok());
+      auto tmp = server.OpenSession("tmp", ItaSpec{});
+      ASSERT_TRUE(tmp.ok());
+      std::optional<PtaResult> kept;
+      auto cut = tmp->Cut(Budget::Size(16));
+      ASSERT_TRUE(cut.ok());
+      kept = std::move(*cut);
+      ASSERT_TRUE(server.DropDataset("tmp").ok());
+      // The result outlives its dataset's registration; its keys too.
+      EXPECT_EQ(kept->relation.group_keys().size(), 1u);
+    }
+  });
+  updater.join();
+  dropper.join();
+  while (dropped_cuts.load() < 3) std::this_thread::yield();
+  stop = true;
+  for (std::thread& reader : readers) reader.join();
+
+  auto served = session->Cut(Budget::Size(16));
+  ASSERT_TRUE(served.ok());
+  auto gms = GmsReduceToSize(MakeSequential(3, 1.0 + (kRounds - 1)), 16);
+  ASSERT_TRUE(gms.ok());
+  ExpectByteIdentical(served->relation, gms->relation);
+  EXPECT_EQ(served->relation.group_keys(), gms->relation.group_keys());
+  PtaIndexCacheClear();
+}
+
 TEST(PtaServerTest, OpenSessionsSurviveDrop) {
   PtaIndexCacheClear();
   PtaServer server;
