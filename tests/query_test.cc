@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "datasets/synthetic.h"
@@ -219,6 +221,148 @@ TEST(QueryEquivalenceTest, OverSequentialMatchesDirectReducers) {
   ASSERT_TRUE(greedy_direct.ok());
   ExpectByteIdentical(greedy->relation, greedy_direct->relation);
   EXPECT_EQ(greedy->error, greedy_direct->error);
+}
+
+// ---- the pinned engine x binding matrix --------------------------------
+
+// FNV-1a over everything a batch run returns: the status code, and on
+// success the relation (group keys, value names, every row's group,
+// interval and value bits), the error bits and ita_size.
+class RunDigest {
+ public:
+  void Mix(const Result<PtaResult>& run) {
+    U64(static_cast<uint64_t>(run.ok() ? StatusCode::kOk
+                                       : run.status().code()));
+    if (!run.ok()) return;
+    const SequentialRelation& rel = run->relation;
+    U64(rel.group_keys().size());
+    for (const GroupKey& key : rel.group_keys()) Str(GroupKeyToString(key));
+    U64(rel.value_names().size());
+    for (const std::string& name : rel.value_names()) Str(name);
+    U64(rel.size());
+    for (size_t i = 0; i < rel.size(); ++i) {
+      U64(static_cast<uint64_t>(static_cast<int64_t>(rel.group(i))));
+      U64(static_cast<uint64_t>(rel.interval(i).begin));
+      U64(static_cast<uint64_t>(rel.interval(i).end));
+      for (size_t d = 0; d < rel.num_aggregates(); ++d) F64(rel.value(i, d));
+    }
+    F64(run->error);
+    U64(run->ita_size);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  void Bytes(const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash_ ^= bytes[i];
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void U64(uint64_t v) { Bytes(&v, sizeof(v)); }
+  void F64(double v) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    U64(bits);
+  }
+  void Str(const std::string& s) {
+    U64(s.size());
+    Bytes(s.data(), s.size());
+  }
+
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+struct PinnedEngine {
+  const char* name;
+  Engine engine;
+  bool eager;
+  size_t num_shards;  // kParallel only
+};
+
+TEST(QueryPinTest, EveryEngineAndBindingKeepsItsBytes) {
+  // One digest per (engine, binding) cell, folded over both budget kinds,
+  // a sampled and an overridden Êmax, 1 and 4 threads, and an empty input
+  // of the same binding. The values were captured before the executors
+  // were unified; any byte or status the lowering moves changes them.
+  SyntheticOptions options;
+  options.num_tuples = 400;
+  options.num_dims = 2;
+  options.num_groups = 6;
+  options.max_duration = 20;
+  options.time_span = 100;
+  options.seed = 5;
+  const TemporalRelation rel = GenerateSyntheticRelation(options);
+  const TemporalRelation empty_rel(rel.schema());
+  auto ita = Ita(rel, FleetSpec());
+  auto empty_ita = Ita(empty_rel, FleetSpec());
+  ASSERT_TRUE(ita.ok());
+  ASSERT_TRUE(empty_ita.ok());
+
+  const PinnedEngine engines[] = {
+      {"exact_dp", Engine::kExactDp, true, 0},
+      {"greedy_eager", Engine::kGreedy, true, 0},
+      {"greedy_deferred", Engine::kGreedy, false, 0},
+      {"parallel_1", Engine::kParallel, true, 1},
+      {"parallel_4", Engine::kParallel, true, 4},
+      {"indexed", Engine::kIndexed, true, 0},
+  };
+  const pta::Budget budgets[] = {pta::Budget::Size(60),
+                                 pta::Budget::RelativeError(0.15)};
+  // Ordered as engines x {Over, OverSequential}.
+  const uint64_t expected[] = {
+      16509069160086706181ULL, 16509069160086706181ULL,  // exact_dp
+      2087690291904156321ULL,  4991878407895898129ULL,   // greedy_eager
+      8507344137648995953ULL,  7773897423144625249ULL,   // greedy_deferred
+      3476718584390969305ULL,  3875988893825099621ULL,   // parallel_1
+      5571934402894322449ULL,  9995784589973449901ULL,   // parallel_4
+      8507344137648995953ULL,  8507344137648995953ULL,   // indexed
+  };
+
+  PtaIndexCacheClear();
+  size_t cell = 0;
+  for (const PinnedEngine& pinned : engines) {
+    for (const bool sequential : {false, true}) {
+      RunDigest digest;
+      const auto query = [&](bool empty) {
+        return sequential
+                   ? PtaQuery::OverSequential(empty ? *empty_ita : *ita)
+                   : PtaQuery::Over(empty ? empty_rel : rel).Spec(FleetSpec());
+      };
+      for (const pta::Budget& budget : budgets) {
+        for (const bool override_emax : {false, true}) {
+          GreedyPtaOptions greedy;
+          greedy.eager = pinned.eager;
+          if (override_emax) greedy.estimated_max_error = 2.5e6;
+          for (const bool empty : {false, true}) {
+            uint64_t by_threads[2] = {0, 0};
+            for (const size_t threads : {1u, 4u}) {
+              ParallelOptions parallel;
+              parallel.num_threads = threads;
+              parallel.num_shards = pinned.num_shards;
+              const auto run = query(empty)
+                                   .Budget(budget)
+                                   .Engine(pinned.engine)
+                                   .Greedy(greedy)
+                                   .Parallel(parallel)
+                                   .Run();
+              RunDigest one;
+              one.Mix(run);
+              by_threads[threads == 1u ? 0 : 1] = one.value();
+              if (threads == 1u) digest.Mix(run);
+            }
+            EXPECT_EQ(by_threads[0], by_threads[1])
+                << pinned.name << (sequential ? " sequential" : " relation")
+                << " moved with the thread count";
+          }
+        }
+      }
+      EXPECT_EQ(digest.value(), expected[cell])
+          << pinned.name << (sequential ? " OverSequential" : " Over");
+      ++cell;
+    }
+  }
+  PtaIndexCacheClear();
 }
 
 // ---- planner: engine resolution and the plan/execute split -------------
