@@ -242,7 +242,7 @@ int RunFlagQuery(const Args& args, const Schema& schema,
     options.merge_across_gaps = args.merge_across_gaps;
     query.Engine(Engine::kGreedy).Greedy(options);
   } else {
-    PtaOptions options;
+    DpOptions options;
     options.merge_across_gaps = args.merge_across_gaps;
     query.Engine(Engine::kExactDp).Exact(options);
   }

@@ -39,19 +39,19 @@
 
 namespace pta {
 
-/// \brief Options for the parallel, group-sharded greedy PTA variants
-/// (ParallelGreedyPtaBySize/-ByError in pta.h) and for the streaming
+/// \brief Options for the parallel, group-sharded greedy engine
+/// (PtaQuery::Parallel, Engine::kParallel) and for the streaming
 /// composition (stream/sharded_stream.h).
 ///
 /// The ITA result is partitioned by a stable hash of the grouping values,
 /// each shard is reduced independently on a thread pool, and the per-shard
 /// results are merged back in global group order (docs/ARCHITECTURE.md §5).
 /// For a fixed num_shards the output is a pure function of the input —
-/// num_threads only changes the wall clock — and with num_shards = 1,
-/// ParallelGreedyPtaBySize is byte-identical to GreedyPtaBySize. (The
-/// ByError variant estimates Êmax per shard from the materialized ITA
-/// segments, not from the base relation like GreedyPtaByError, so its
-/// one-shard output matches that policy, not GreedyPtaByError's.)
+/// num_threads only changes the wall clock — and with num_shards = 1, a
+/// size-bounded kParallel query is byte-identical to the same query under
+/// Engine::kGreedy. (An error-bounded kParallel query estimates Êmax per
+/// shard from the ITA segments, not from the base relation like kGreedy,
+/// so its one-shard output matches that policy, not kGreedy's.)
 struct ParallelOptions {
   /// Worker threads; 0 means all hardware threads.
   size_t num_threads = 0;

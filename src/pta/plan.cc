@@ -61,7 +61,8 @@ class CountingSource : public SegmentSource {
 // (Sec. 6.3's sampling suggestion).
 Result<double> EstimateMaxError(const TemporalRelation& rel,
                                 const ItaSpec& spec,
-                                const GreedyPtaOptions& options) {
+                                const GreedyPtaOptions& options,
+                                size_t num_threads) {
   const double q = options.sample_fraction;
   if (q <= 0.0 || q > 1.0) {
     return Status::InvalidArgument("sample_fraction must be in (0, 1]");
@@ -72,14 +73,14 @@ Result<double> EstimateMaxError(const TemporalRelation& rel,
     if (rng.Bernoulli(q)) sample.InsertUnchecked(t);
   }
   if (sample.empty()) return 0.0;
-  auto ita = Ita(sample, spec);
+  auto ita = Ita(sample, spec, num_threads);
   if (!ita.ok()) return ita.status();
   const ErrorContext ctx(*ita, options.weights, options.merge_across_gaps);
   return ctx.MaxError() / q;
 }
 
-// Scatter step shared by the parallel paths: partition a group-major
-// segment source into per-shard sequential relations by stable group hash.
+// Scatter step of the parallel engine: partition a group-major segment
+// source into per-shard sequential relations by stable group hash.
 Result<ShardedSegmentSource> ShardSource(
     SegmentSource& source, const std::vector<GroupKey>& group_keys,
     const std::vector<std::string>& group_by,
@@ -93,18 +94,6 @@ Result<ShardedSegmentSource> ShardSource(
       GroupShardMap(group_keys, group_by, parallel.shard_by, num_shards);
   if (!shard_map.ok()) return shard_map.status();
   return ShardedSegmentSource::Partition(source, num_shards, *shard_map);
-}
-
-ParallelReduceOptions ToReduceOptions(const ParallelOptions& parallel,
-                                      const GreedyPtaOptions& options) {
-  ParallelReduceOptions reduce;
-  reduce.num_threads = parallel.num_threads;
-  reduce.greedy =
-      GreedyOptions{options.weights, options.delta,
-                    options.merge_across_gaps, options.eager};
-  reduce.budget_sample_fraction = parallel.budget_sample_fraction;
-  reduce.budget_sample_seed = parallel.budget_sample_seed;
-  return reduce;
 }
 
 Result<PtaResult> FromReduction(Result<Reduction> reduced, size_t ita_size) {
@@ -630,153 +619,134 @@ size_t PtaPlan::num_aggregates() const {
 
 namespace {
 
-// ---- backends over a base TemporalRelation (ITA runs first) ------------
+// ---- the batch executors ------------------------------------------------
 
-Result<PtaResult> ExecExactOverRelation(const PtaPlan& plan) {
-  auto ita = Ita(*plan.relation, plan.spec);
-  if (!ita.ok()) return ita.status();
-  const DpOptions dp_options{plan.exact.weights, plan.exact.use_pruning,
-                             plan.exact.use_early_break,
-                             plan.exact.merge_across_gaps};
-  auto reduced =
-      plan.budget.is_size()
-          ? ReduceToSizeDp(*ita, plan.budget.size(), dp_options)
-          : ReduceToErrorDp(*ita, plan.budget.relative_error(), dp_options);
-  return FromReduction(std::move(reduced), ita->size());
-}
+// Either input binding lowered to what the streaming reducers consume: one
+// group-major segment source, plus the metadata every result carries.
+struct BoundInput {
+  std::unique_ptr<SegmentSource> source;
+  std::shared_ptr<const std::vector<GroupKey>> group_keys;
+  std::vector<std::string> value_names;
 
-Result<PtaResult> ExecGreedyOverRelation(const PtaPlan& plan,
-                                         GreedyStats* stats) {
-  GreedyErrorEstimates estimates;
-  if (!plan.budget.is_size()) {
-    // The ITA result of |r| tuples has at most 2|r| - 1 tuples (Sec. 3).
-    estimates.estimated_n =
-        plan.greedy.estimated_n > 0
-            ? plan.greedy.estimated_n
-            : (plan.relation->empty() ? 1 : 2 * plan.relation->size() - 1);
-    if (plan.greedy.estimated_max_error >= 0.0) {
-      estimates.estimated_max_error = plan.greedy.estimated_max_error;
-    } else {
-      auto est = EstimateMaxError(*plan.relation, plan.spec, plan.greedy);
-      if (!est.ok()) return est.status();
-      estimates.estimated_max_error = *est;
-    }
+  // The reduction as the query's result, carrying this input's metadata.
+  Result<PtaResult> Finish(Result<Reduction> reduced, size_t ita_size) const {
+    auto out = FromReduction(std::move(reduced), ita_size);
+    if (!out.ok()) return out;
+    out->relation.ShareGroupKeys(group_keys);
+    out->relation.SetValueNames(value_names);
+    return out;
   }
+};
 
+// A base relation streams out of ITA as it is swept (no materialized ITA
+// result); a sequential input is read in place.
+Result<BoundInput> Bind(const PtaPlan& plan) {
+  BoundInput bound;
+  if (plan.sequential != nullptr) {
+    bound.source = std::make_unique<RelationSegmentSource>(*plan.sequential);
+    bound.group_keys = plan.sequential->shared_group_keys();
+    bound.value_names = plan.sequential->value_names();
+    return bound;
+  }
   auto stream = ItaStream::Create(*plan.relation, plan.spec,
                                   plan.parallel.num_threads);
   if (!stream.ok()) return stream.status();
-  CountingSource source(**stream);
-  const GreedyOptions greedy{plan.greedy.weights, plan.greedy.delta,
-                             plan.greedy.merge_across_gaps,
-                             plan.greedy.eager};
-  auto reduced =
-      plan.budget.is_size()
-          ? GreedyReduceToSize(source, plan.budget.size(), greedy, stats)
-          : GreedyReduceToError(source, plan.budget.relative_error(),
-                                estimates, greedy, stats);
-  auto out = FromReduction(std::move(reduced), source.count());
-  if (!out.ok()) return out;
-  out->relation.ShareGroupKeys((*stream)->shared_group_keys());
-  out->relation.SetValueNames((*stream)->value_names());
-  return out;
+  bound.group_keys = (*stream)->shared_group_keys();
+  bound.value_names = (*stream)->value_names();
+  bound.source = std::move(*stream);
+  return bound;
 }
 
-Result<PtaResult> ExecParallelOverRelation(const PtaPlan& plan,
-                                           ParallelStats* stats) {
-  auto stream = ItaStream::Create(*plan.relation, plan.spec);
-  if (!stream.ok()) return stream.status();
-  auto shards = ShardSource(**stream, (*stream)->group_keys(),
-                            plan.spec.group_by, plan.parallel);
-  if (!shards.ok()) return shards.status();
-  const ParallelReduceOptions reduce =
-      ToReduceOptions(plan.parallel, plan.greedy);
+Result<PtaResult> ExecExact(const PtaPlan& plan) {
+  // The DP needs its whole input at once: a base relation's ITA result is
+  // materialized, a sequential input is used as it is. Either way the DP
+  // reconstructs the metadata from its input.
+  SequentialRelation ita;
+  const SequentialRelation* input = plan.sequential;
+  if (input == nullptr) {
+    auto full = Ita(*plan.relation, plan.spec, plan.parallel.num_threads);
+    if (!full.ok()) return full.status();
+    ita = std::move(*full);
+    input = &ita;
+  }
   auto reduced =
       plan.budget.is_size()
-          ? ParallelReduceToSize(*shards, plan.budget.size(), reduce, stats)
-          : ParallelReduceToError(*shards, plan.budget.relative_error(),
-                                  reduce, stats);
-  auto out = FromReduction(std::move(reduced), shards->total_size());
-  if (!out.ok()) return out;
-  out->relation.ShareGroupKeys((*stream)->shared_group_keys());
-  out->relation.SetValueNames((*stream)->value_names());
-  return out;
+          ? ReduceToSizeDp(*input, plan.budget.size(), plan.exact)
+          : ReduceToErrorDp(*input, plan.budget.relative_error(), plan.exact);
+  return FromReduction(std::move(reduced), input->size());
 }
 
-// ---- backends over a pre-aggregated SequentialRelation (ITA skipped) ---
-
-Result<PtaResult> ExecExactOverSequential(const PtaPlan& plan) {
-  const DpOptions dp_options{plan.exact.weights, plan.exact.use_pruning,
-                             plan.exact.use_early_break,
-                             plan.exact.merge_across_gaps};
-  auto reduced =
-      plan.budget.is_size()
-          ? ReduceToSizeDp(*plan.sequential, plan.budget.size(), dp_options)
-          : ReduceToErrorDp(*plan.sequential, plan.budget.relative_error(),
-                            dp_options);
-  // The DP reconstructs metadata from its input; nothing to re-attach.
-  return FromReduction(std::move(reduced), plan.sequential->size());
+// gPTAε's n̂ and Êmax (Sec. 6.3) unless the options override them. A base
+// relation bounds n̂ by 2|r| - 1 (Sec. 3) and samples base tuples; a
+// sequential input knows n exactly and samples its segments (fraction 1 =
+// the exact MaxError).
+Result<GreedyErrorEstimates> EstimateErrorBounds(const PtaPlan& plan) {
+  const GreedyPtaOptions& options = plan.greedy;
+  GreedyErrorEstimates estimates;
+  if (options.estimated_n > 0) {
+    estimates.estimated_n = options.estimated_n;
+  } else if (plan.sequential != nullptr) {
+    estimates.estimated_n = plan.sequential->size();
+  } else {
+    estimates.estimated_n =
+        plan.relation->empty() ? 1 : 2 * plan.relation->size() - 1;
+  }
+  if (options.estimated_max_error >= 0.0) {
+    estimates.estimated_max_error = options.estimated_max_error;
+    return estimates;
+  }
+  auto est = plan.sequential != nullptr
+                 ? EstimateMaxErrorBySampling(
+                       *plan.sequential, options.weights,
+                       options.sample_fraction, options.sample_seed,
+                       options.merge_across_gaps)
+                 : EstimateMaxError(*plan.relation, plan.spec, options,
+                                    plan.parallel.num_threads);
+  if (!est.ok()) return est.status();
+  estimates.estimated_max_error = *est;
+  return estimates;
 }
 
-Result<PtaResult> ExecGreedyOverSequential(const PtaPlan& plan,
-                                           GreedyStats* stats) {
+Result<PtaResult> ExecGreedy(const PtaPlan& plan, GreedyStats* stats) {
   GreedyErrorEstimates estimates;
   if (!plan.budget.is_size()) {
-    // Unlike the base-relation path, n is known exactly here, and Êmax can
-    // be sampled at the segment level (fraction 1 = the exact MaxError).
-    estimates.estimated_n = plan.greedy.estimated_n > 0
-                                ? plan.greedy.estimated_n
-                                : plan.sequential->size();
-    if (plan.greedy.estimated_max_error >= 0.0) {
-      estimates.estimated_max_error = plan.greedy.estimated_max_error;
-    } else {
-      auto est = EstimateMaxErrorBySampling(
-          *plan.sequential, plan.greedy.weights, plan.greedy.sample_fraction,
-          plan.greedy.sample_seed, plan.greedy.merge_across_gaps);
-      if (!est.ok()) return est.status();
-      estimates.estimated_max_error = *est;
-    }
+    auto est = EstimateErrorBounds(plan);
+    if (!est.ok()) return est.status();
+    estimates = *est;
   }
-
-  RelationSegmentSource source(*plan.sequential);
-  const GreedyOptions greedy{plan.greedy.weights, plan.greedy.delta,
-                             plan.greedy.merge_across_gaps,
-                             plan.greedy.eager};
+  auto bound = Bind(plan);
+  if (!bound.ok()) return bound.status();
+  CountingSource source(*bound->source);
   auto reduced =
       plan.budget.is_size()
-          ? GreedyReduceToSize(source, plan.budget.size(), greedy, stats)
+          ? GreedyReduceToSize(source, plan.budget.size(), plan.greedy, stats)
           : GreedyReduceToError(source, plan.budget.relative_error(),
-                                estimates, greedy, stats);
-  auto out = FromReduction(std::move(reduced), plan.sequential->size());
-  if (!out.ok()) return out;
-  out->relation.ShareGroupKeys(plan.sequential->shared_group_keys());
-  out->relation.SetValueNames(plan.sequential->value_names());
-  return out;
+                                estimates, plan.greedy, stats);
+  return bound->Finish(std::move(reduced), source.count());
 }
 
-Result<PtaResult> ExecParallelOverSequential(const PtaPlan& plan,
-                                             ParallelStats* stats) {
-  if (plan.sequential->group_keys().empty()) {
+Result<PtaResult> ExecParallel(const PtaPlan& plan, ParallelStats* stats) {
+  if (plan.sequential != nullptr && plan.sequential->group_keys().empty()) {
     return Status::InvalidArgument(
         "parallel engine over a sequential input requires group keys "
         "(SequentialRelation::SetGroupKeys)");
   }
-  RelationSegmentSource source(*plan.sequential);
-  auto shards = ShardSource(source, plan.sequential->group_keys(),
+  auto bound = Bind(plan);
+  if (!bound.ok()) return bound.status();
+  auto shards = ShardSource(*bound->source, *bound->group_keys,
                             plan.spec.group_by, plan.parallel);
   if (!shards.ok()) return shards.status();
-  const ParallelReduceOptions reduce =
-      ToReduceOptions(plan.parallel, plan.greedy);
+  ParallelReduceOptions reduce;
+  reduce.num_threads = plan.parallel.num_threads;
+  reduce.greedy = static_cast<const GreedyOptions&>(plan.greedy);
+  reduce.budget_sample_fraction = plan.parallel.budget_sample_fraction;
+  reduce.budget_sample_seed = plan.parallel.budget_sample_seed;
   auto reduced =
       plan.budget.is_size()
           ? ParallelReduceToSize(*shards, plan.budget.size(), reduce, stats)
           : ParallelReduceToError(*shards, plan.budget.relative_error(),
                                   reduce, stats);
-  auto out = FromReduction(std::move(reduced), shards->total_size());
-  if (!out.ok()) return out;
-  out->relation.ShareGroupKeys(plan.sequential->shared_group_keys());
-  out->relation.SetValueNames(plan.sequential->value_names());
-  return out;
+  return bound->Finish(std::move(reduced), shards->total_size());
 }
 
 // ---- the indexed backend (works for both input bindings) ---------------
@@ -810,16 +780,11 @@ Result<PtaResult> PtaPlan::Execute(PtaRunStats* stats) const {
   auto run = [&]() -> Result<PtaResult> {
     switch (engine) {
       case Engine::kExactDp:
-        return sequential != nullptr ? ExecExactOverSequential(*this)
-                                     : ExecExactOverRelation(*this);
+        return ExecExact(*this);
       case Engine::kGreedy:
-        return sequential != nullptr
-                   ? ExecGreedyOverSequential(*this, greedy_stats)
-                   : ExecGreedyOverRelation(*this, greedy_stats);
+        return ExecGreedy(*this, greedy_stats);
       case Engine::kParallel:
-        return sequential != nullptr
-                   ? ExecParallelOverSequential(*this, parallel_stats)
-                   : ExecParallelOverRelation(*this, parallel_stats);
+        return ExecParallel(*this, parallel_stats);
       case Engine::kIndexed:
         return ExecIndexed(*this, stats);
       case Engine::kStreaming:

@@ -12,8 +12,7 @@
 // arity, budget range, group-by/schema mismatches — with consistent
 // Status codes, resolves Engine::kAuto, and lowers to the chosen backend;
 // Execute() then runs it. PtaQuery (pta/query.h) is the fluent builder
-// that produces plans, and the legacy free functions in pta/pta.h are thin
-// wrappers over the same path.
+// that produces plans.
 
 #ifndef PTA_PTA_PLAN_H_
 #define PTA_PTA_PLAN_H_
@@ -26,6 +25,7 @@
 #include <vector>
 
 #include "core/ita.h"
+#include "pta/dp.h"
 #include "pta/greedy.h"
 #include "pta/parallel.h"
 #include "pta/segment.h"
@@ -110,35 +110,13 @@ class Budget {
   double eps_ = 0.0;
 };
 
-/// \brief Options for exact (DP-based) PTA evaluation.
-struct PtaOptions {
-  /// Per-dimension error weights w_d (Def. 5); empty means all ones.
-  std::vector<double> weights;
-  /// The Sec. 5.3 gap/group pruning; disabling yields the plain DP scheme.
-  bool use_pruning = true;
-  /// The Sec. 5.4 early break of the inner DP loop.
-  bool use_early_break = true;
-  /// Future-work extension (Sec. 8): merge across temporal gaps.
-  bool merge_across_gaps = false;
-};
-
-/// \brief Options for greedy (streaming) PTA evaluation.
-struct GreedyPtaOptions {
-  /// Per-dimension error weights w_d (Def. 5); empty means all ones.
-  std::vector<double> weights;
-  /// Read-ahead depth (Sec. 6.2.1); see GreedyOptions::delta.
-  size_t delta = 1;
-  /// Future-work extension (Sec. 8): merge across temporal gaps.
-  bool merge_across_gaps = false;
-  /// When false, defer every merge to the end-of-stream drain, making the
-  /// greedy (and one-shard parallel) engines byte-identical to the batch
-  /// GMS reducers — and hence to PtaIndex cuts — even on inputs with tied
-  /// merge keys; see GreedyOptions::eager.
-  bool eager = true;
-
-  // --- gPTAε estimation knobs (ignored by size-bounded runs and by the
-  // parallel engine, which estimates per shard instead — see
-  // ParallelOptions::budget_sample_fraction) ---
+/// \brief Options for greedy PTA evaluation: the reducers' GreedyOptions
+/// plus the knobs of gPTAε's n̂ / Êmax estimation (Sec. 6.3).
+///
+/// The estimation knobs are ignored by size-bounded runs and by the
+/// parallel engine, which estimates per shard instead — see
+/// ParallelOptions::budget_sample_fraction.
+struct GreedyPtaOptions : GreedyOptions {
   /// Êmax override; negative means "estimate by sampling the input".
   double estimated_max_error = -1.0;
   /// n̂ override; 0 means the paper's bound 2|r| - 1.
@@ -217,7 +195,7 @@ struct PtaPlan {
 
   // Per-engine tuning; the planner has already injected the effective
   // weights and (for streaming) the size budget.
-  PtaOptions exact;
+  DpOptions exact;
   GreedyPtaOptions greedy;
   ParallelOptions parallel;
   StreamingOptions streaming;

@@ -2,8 +2,9 @@
 //
 // PTA (Def. 6/7) evaluates ITA over the argument relation, then reduces the
 // ITA result by merging adjacent tuples until a size bound c or error bound
-// eps is met. The primary surface is the PtaQuery builder (pta/query.h),
-// which this header re-exports:
+// eps is met. The surface is the PtaQuery builder (pta/query.h), which this
+// umbrella header re-exports together with the building blocks it lowers
+// to:
 //
 //   auto result = PtaQuery::Over(proj)
 //                     .GroupBy("Proj")
@@ -12,25 +13,18 @@
 //                     .Run();
 //
 // The planner (pta/plan.h) validates the query once and lowers it to the
-// exact dynamic programs of Sec. 5 (Engine::kExactDp), the streaming
-// greedy algorithms of Sec. 6 (Engine::kGreedy), the group-sharded
-// parallel engine (Engine::kParallel), or the PtaIndex merge tree
-// (Engine::kIndexed, pta/index.h) whose one recorded greedy run answers
-// any re-budgeted query as an O(k) cut. The free functions below predate
-// the builder; they are thin wrappers over the same planner, kept
-// byte-identical for existing callers — prefer PtaQuery in new code
-// (docs/API.md has the migration table).
+// exact dynamic programs of Sec. 5 (Engine::kExactDp, pta/dp.h), the
+// streaming greedy algorithms of Sec. 6 (Engine::kGreedy, pta/greedy.h),
+// the group-sharded parallel engine (Engine::kParallel, pta/parallel.h),
+// or the PtaIndex merge tree (Engine::kIndexed, pta/index.h) whose one
+// recorded greedy run answers any re-budgeted query as an O(k) cut.
 //
 // The online surface (StreamingQuery and the engines it wraps) lives in
-// pta/stream_api.h and the pta_stream library; this header and the
-// entry points below need pta_algo only.
+// pta/stream_api.h and the pta_stream library; this header needs pta_algo
+// only. It declares nothing of its own.
 
 #ifndef PTA_PTA_PTA_H_
 #define PTA_PTA_PTA_H_
-
-#include <cstdint>
-#include <string>
-#include <vector>
 
 #include "core/ita.h"
 #include "pta/dp.h"
@@ -39,58 +33,5 @@
 #include "pta/parallel.h"
 #include "pta/plan.h"
 #include "pta/query.h"
-#include "util/status.h"
-
-namespace pta {
-
-// PtaOptions, GreedyPtaOptions, and PtaResult are declared in pta/plan.h
-// (included above); ParallelOptions in pta/parallel.h.
-
-/// Size-bounded PTA (Def. 6), exact: ITA followed by PTAc.
-/// Wrapper over `PtaQuery...Engine(Engine::kExactDp)`.
-[[nodiscard]] Result<PtaResult> PtaBySize(const TemporalRelation& rel, const ItaSpec& spec,
-                            size_t c, const PtaOptions& options = {});
-
-/// Error-bounded PTA (Def. 7), exact: ITA followed by PTAε.
-/// eps in [0, 1] scales the largest possible error SSEmax.
-/// Wrapper over `PtaQuery...Engine(Engine::kExactDp)`.
-[[nodiscard]] Result<PtaResult> PtaByError(const TemporalRelation& rel, const ItaSpec& spec,
-                             double eps, const PtaOptions& options = {});
-
-/// Size-bounded PTA, greedy and streaming: ITA tuples are merged as they
-/// are produced (gPTAc); memory stays at O(c + beta).
-/// Wrapper over `PtaQuery...Engine(Engine::kGreedy)`.
-[[nodiscard]] Result<PtaResult> GreedyPtaBySize(const TemporalRelation& rel,
-                                  const ItaSpec& spec, size_t c,
-                                  const GreedyPtaOptions& options = {},
-                                  GreedyStats* stats = nullptr);
-
-/// Error-bounded PTA, greedy and streaming (gPTAε). Unless overridden in
-/// the options, n̂ = 2|r|-1 and Êmax is estimated from a deterministic
-/// sample of the input (Sec. 6.3).
-/// Wrapper over `PtaQuery...Engine(Engine::kGreedy)`.
-[[nodiscard]] Result<PtaResult> GreedyPtaByError(const TemporalRelation& rel,
-                                   const ItaSpec& spec, double eps,
-                                   const GreedyPtaOptions& options = {},
-                                   GreedyStats* stats = nullptr);
-
-/// Size-bounded PTA, greedy, group-sharded and multi-threaded: gPTAc per
-/// shard under a budget split proportional to per-shard estimated error.
-/// Wrapper over `PtaQuery...Engine(Engine::kParallel)`.
-[[nodiscard]] Result<PtaResult> ParallelGreedyPtaBySize(const TemporalRelation& rel,
-                                          const ItaSpec& spec, size_t c,
-                                          const ParallelOptions& parallel = {},
-                                          const GreedyPtaOptions& options = {},
-                                          ParallelStats* stats = nullptr);
-
-/// Error-bounded PTA, greedy, group-sharded and multi-threaded: gPTAε per
-/// shard, each against its own (estimated) maximal error.
-/// Wrapper over `PtaQuery...Engine(Engine::kParallel)`.
-[[nodiscard]] Result<PtaResult> ParallelGreedyPtaByError(
-    const TemporalRelation& rel, const ItaSpec& spec, double eps,
-    const ParallelOptions& parallel = {}, const GreedyPtaOptions& options = {},
-    ParallelStats* stats = nullptr);
-
-}  // namespace pta
 
 #endif  // PTA_PTA_PTA_H_

@@ -73,7 +73,7 @@ PtaQuery& PtaQuery::Weights(std::vector<double> weights) {
   return *this;
 }
 
-PtaQuery& PtaQuery::Exact(PtaOptions options) {
+PtaQuery& PtaQuery::Exact(DpOptions options) {
   exact_ = std::move(options);
   return *this;
 }

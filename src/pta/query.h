@@ -25,9 +25,8 @@
 //                            chunk through the StreamingQuery handle that
 //                            Start() returns (pta/stream_api.h).
 //
-// The legacy free functions in pta/pta.h (PtaBySize, GreedyPtaByError,
-// ...) are thin wrappers over this builder and remain byte-identical;
-// docs/API.md carries the migration table.
+// The builder is the only batch entry point; docs/API.md maps the paper's
+// algorithms onto it.
 
 #ifndef PTA_PTA_QUERY_H_
 #define PTA_PTA_QUERY_H_
@@ -101,7 +100,7 @@ class PtaQuery {
   PtaQuery& Weights(std::vector<double> weights);
 
   /// Tuning of the exact DP backend (pruning, early break, gap merging).
-  PtaQuery& Exact(PtaOptions options);
+  PtaQuery& Exact(DpOptions options);
   /// Tuning of the greedy backends (delta, gap merging, gPTAε estimation);
   /// also the per-shard knobs of the parallel engine.
   PtaQuery& Greedy(GreedyPtaOptions options);
@@ -156,7 +155,7 @@ class PtaQuery {
   pta::Engine engine_ = pta::Engine::kAuto;
   std::vector<double> weights_;
 
-  PtaOptions exact_;
+  DpOptions exact_;
   GreedyPtaOptions greedy_;
   ParallelOptions parallel_;
   bool has_parallel_ = false;

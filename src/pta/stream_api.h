@@ -10,7 +10,8 @@
 //
 // This header is the streaming side of the pta.h umbrella split: including
 // it (and calling Start()) requires linking the pta_stream library; the
-// batch surface in pta/query.h + pta/pta.h needs pta_algo only.
+// batch surface (PtaQuery::Run, re-exported by pta/pta.h) needs pta_algo
+// only.
 //
 //   auto sq = PtaQuery::Stream(/*num_aggregates=*/1)
 //                 .Budget(Budget::Size(240))

@@ -194,17 +194,20 @@ TEST(GapMergeTest, ErrorBoundedVariantsHonorBudget) {
 
 TEST(GapMergeTest, PublicApiExposesTheOption) {
   const TemporalRelation proj = MakeProjRelation();
-  PtaOptions options;
+  const PtaQuery query = PtaQuery::Over(proj)
+                             .GroupBy("Proj")
+                             .Aggregate(Avg("Sal", "AvgSal"))
+                             .Budget(Budget::Size(2));
+  DpOptions options;
   options.merge_across_gaps = true;
-  auto result = PtaBySize(proj, {{"Proj"}, {Avg("Sal", "AvgSal")}}, 2,
-                          options);
+  auto result = PtaQuery(query).Engine(Engine::kExactDp).Exact(options).Run();
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->relation.size(), 2u);
 
   GreedyPtaOptions greedy_options;
   greedy_options.merge_across_gaps = true;
-  auto greedy = GreedyPtaBySize(proj, {{"Proj"}, {Avg("Sal", "AvgSal")}}, 2,
-                                greedy_options);
+  auto greedy =
+      PtaQuery(query).Engine(Engine::kGreedy).Greedy(greedy_options).Run();
   ASSERT_TRUE(greedy.ok());
   EXPECT_EQ(greedy->relation.size(), 2u);
 }

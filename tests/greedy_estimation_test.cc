@@ -1,6 +1,6 @@
 // gPTAε estimation determinism and override handling (Sec. 6.3).
 //
-// The error-bounded greedy wrapper estimates Êmax by sampling the input
+// The error-bounded greedy engine estimates Êmax by sampling the input
 // with a seeded RNG; identical knobs must give bit-identical results, and
 // the estimated_max_error / estimated_n overrides must bypass the sampler
 // and steer the Prop. 4 early-merge budget.
@@ -33,15 +33,29 @@ TemporalRelation MakeLongRelation(size_t n) {
 
 ItaSpec LongAvgSpec() { return {{"G"}, {Avg("V", "AvgV")}}; }
 
+// gPTAε over a base relation through the builder; `stats` (optional)
+// receives the run's counters, greedy ones included.
+Result<PtaResult> GreedyByError(const TemporalRelation& rel,
+                                const ItaSpec& spec, double eps,
+                                const GreedyPtaOptions& options,
+                                PtaRunStats* stats = nullptr) {
+  return PtaQuery::Over(rel)
+      .Spec(spec)
+      .Budget(Budget::RelativeError(eps))
+      .Engine(Engine::kGreedy)
+      .Greedy(options)
+      .Run(stats);
+}
+
 TEST(GreedyEstimationTest, SameSeedAndFractionAreDeterministic) {
   const TemporalRelation rel = MakeLongRelation(200);
   GreedyPtaOptions options;
   options.sample_fraction = 0.25;
   options.sample_seed = 1234;
 
-  GreedyStats stats1, stats2;
-  auto r1 = GreedyPtaByError(rel, LongAvgSpec(), 0.4, options, &stats1);
-  auto r2 = GreedyPtaByError(rel, LongAvgSpec(), 0.4, options, &stats2);
+  PtaRunStats stats1, stats2;
+  auto r1 = GreedyByError(rel, LongAvgSpec(), 0.4, options, &stats1);
+  auto r2 = GreedyByError(rel, LongAvgSpec(), 0.4, options, &stats2);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
 
@@ -50,9 +64,9 @@ TEST(GreedyEstimationTest, SameSeedAndFractionAreDeterministic) {
   EXPECT_EQ(r1->relation.size(), r2->relation.size());
   EXPECT_DOUBLE_EQ(r1->error, r2->error);
   EXPECT_EQ(r1->ita_size, r2->ita_size);
-  EXPECT_EQ(stats1.max_heap_size, stats2.max_heap_size);
-  EXPECT_EQ(stats1.merges, stats2.merges);
-  EXPECT_EQ(stats1.early_merges, stats2.early_merges);
+  EXPECT_EQ(stats1.greedy.max_heap_size, stats2.greedy.max_heap_size);
+  EXPECT_EQ(stats1.greedy.merges, stats2.greedy.merges);
+  EXPECT_EQ(stats1.greedy.early_merges, stats2.greedy.early_merges);
 }
 
 TEST(GreedyEstimationTest, DifferentSeedsStillProduceValidReductions) {
@@ -61,7 +75,7 @@ TEST(GreedyEstimationTest, DifferentSeedsStillProduceValidReductions) {
     GreedyPtaOptions options;
     options.sample_fraction = 0.25;
     options.sample_seed = seed;
-    auto r = GreedyPtaByError(rel, LongAvgSpec(), 0.4, options);
+    auto r = GreedyByError(rel, LongAvgSpec(), 0.4, options);
     ASSERT_TRUE(r.ok()) << "seed " << seed;
     EXPECT_TRUE(r->relation.Validate().ok());
     EXPECT_LE(r->relation.size(), r->ita_size);
@@ -75,11 +89,11 @@ TEST(GreedyEstimationTest, MaxErrorOverrideBypassesTheSampler) {
   // An invalid fraction proves the sampling path is never entered when the
   // override is set; without the override it must be rejected.
   options.sample_fraction = -1.0;
-  EXPECT_TRUE(GreedyPtaByError(proj, ProjAvgSpec(), 0.5, options).ok());
+  EXPECT_TRUE(GreedyByError(proj, ProjAvgSpec(), 0.5, options).ok());
 
   GreedyPtaOptions no_override;
   no_override.sample_fraction = -1.0;
-  auto rejected = GreedyPtaByError(proj, ProjAvgSpec(), 0.5, no_override);
+  auto rejected = GreedyByError(proj, ProjAvgSpec(), 0.5, no_override);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 }
@@ -88,10 +102,10 @@ TEST(GreedyEstimationTest, ZeroMaxErrorOverrideSuppressesEarlyMerges) {
   const TemporalRelation rel = MakeLongRelation(200);
   GreedyPtaOptions options;
   options.estimated_max_error = 0.0;  // Prop. 4 step budget becomes zero
-  GreedyStats stats;
-  auto r = GreedyPtaByError(rel, LongAvgSpec(), 1.0, options, &stats);
+  PtaRunStats stats;
+  auto r = GreedyByError(rel, LongAvgSpec(), 1.0, options, &stats);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(stats.early_merges, 0u);
+  EXPECT_EQ(stats.greedy.early_merges, 0u);
   // The post-stream GMS phase still works from the exact Emax.
   EXPECT_LT(r->relation.size(), r->ita_size);
 }
@@ -101,10 +115,10 @@ TEST(GreedyEstimationTest, LargeMaxErrorOverrideEnablesEarlyMerges) {
   GreedyPtaOptions options;
   options.estimated_max_error = 1e12;
   options.estimated_n = 1;
-  GreedyStats stats;
-  auto r = GreedyPtaByError(rel, LongAvgSpec(), 1.0, options, &stats);
+  PtaRunStats stats;
+  auto r = GreedyByError(rel, LongAvgSpec(), 1.0, options, &stats);
   ASSERT_TRUE(r.ok());
-  EXPECT_GT(stats.early_merges, 0u);
+  EXPECT_GT(stats.greedy.early_merges, 0u);
 }
 
 TEST(GreedyEstimationTest, EstimatedNScalesTheStepBudget) {
@@ -113,21 +127,19 @@ TEST(GreedyEstimationTest, EstimatedNScalesTheStepBudget) {
   GreedyPtaOptions eager;
   eager.estimated_max_error = 1e9;
   eager.estimated_n = 1;
-  GreedyStats eager_stats;
-  ASSERT_TRUE(
-      GreedyPtaByError(rel, LongAvgSpec(), 1.0, eager, &eager_stats).ok());
+  PtaRunStats eager_stats;
+  ASSERT_TRUE(GreedyByError(rel, LongAvgSpec(), 1.0, eager, &eager_stats).ok());
 
   GreedyPtaOptions cautious = eager;
   cautious.estimated_n = static_cast<size_t>(1) << 60;
-  GreedyStats cautious_stats;
+  PtaRunStats cautious_stats;
   ASSERT_TRUE(
-      GreedyPtaByError(rel, LongAvgSpec(), 1.0, cautious, &cautious_stats)
-          .ok());
+      GreedyByError(rel, LongAvgSpec(), 1.0, cautious, &cautious_stats).ok());
 
   // A huge n̂ shrinks eps * Êmax / n̂ to (near) zero: no early merges; the
   // same Êmax with n̂ = 1 merges eagerly while streaming.
-  EXPECT_GT(eager_stats.early_merges, 0u);
-  EXPECT_EQ(cautious_stats.early_merges, 0u);
+  EXPECT_GT(eager_stats.greedy.early_merges, 0u);
+  EXPECT_EQ(cautious_stats.greedy.early_merges, 0u);
 }
 
 TEST(GreedyEstimationTest, DefaultEstimatedNFollowsThePaperBound) {
@@ -136,7 +148,7 @@ TEST(GreedyEstimationTest, DefaultEstimatedNFollowsThePaperBound) {
   GreedyPtaOptions options;
   options.sample_fraction = 1.0;
   options.estimated_n = 0;
-  auto r = GreedyPtaByError(proj, ProjAvgSpec(), 1.0, options);
+  auto r = GreedyByError(proj, ProjAvgSpec(), 1.0, options);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->relation.size(), 3u);  // cmin of the Fig. 1 example
 }

@@ -27,19 +27,21 @@ TEST(IntegrationTest, EtdsPipelineSizeBounded) {
   ASSERT_TRUE(ita.ok());
   const size_t c = std::max<size_t>(ita->CMin(), ita->size() / 10);
 
-  auto exact = PtaBySize(rel, EtdsQueryE1(), c);
+  const PtaQuery query =
+      PtaQuery::Over(rel).Spec(EtdsQueryE1()).Budget(Budget::Size(c));
+  auto exact = PtaQuery(query).Engine(Engine::kExactDp).Run();
   ASSERT_TRUE(exact.ok());
   EXPECT_EQ(exact->relation.size(), c);
   EXPECT_EQ(exact->ita_size, ita->size());
 
-  GreedyStats stats;
-  auto greedy = GreedyPtaBySize(rel, EtdsQueryE1(), c, {}, &stats);
+  PtaRunStats stats;
+  auto greedy = PtaQuery(query).Engine(Engine::kGreedy).Run(&stats);
   ASSERT_TRUE(greedy.ok());
   EXPECT_EQ(greedy->relation.size(), c);
   EXPECT_GE(greedy->error + 1e-9, exact->error);
   // Streaming keeps the heap far below the ITA size on long single-group
   // histories reduced aggressively.
-  EXPECT_LE(stats.max_heap_size, ita->size());
+  EXPECT_LE(stats.greedy.max_heap_size, ita->size());
 }
 
 TEST(IntegrationTest, IncumbentsPipelineErrorBounded) {
@@ -54,14 +56,17 @@ TEST(IntegrationTest, IncumbentsPipelineErrorBounded) {
   const ErrorContext ctx(*ita);
 
   for (double eps : {0.05, 0.3}) {
-    auto exact = PtaByError(rel, IncumbentsQueryI1(), eps);
+    const PtaQuery query = PtaQuery::Over(rel)
+                               .Spec(IncumbentsQueryI1())
+                               .Budget(Budget::RelativeError(eps));
+    auto exact = PtaQuery(query).Engine(Engine::kExactDp).Run();
     ASSERT_TRUE(exact.ok());
     EXPECT_LE(exact->error, eps * ctx.MaxError() + 1e-9);
 
     GreedyPtaOptions greedy_options;
     greedy_options.sample_fraction = 0.5;
-    auto greedy = GreedyPtaByError(rel, IncumbentsQueryI1(), eps,
-                                   greedy_options);
+    auto greedy =
+        PtaQuery(query).Engine(Engine::kGreedy).Greedy(greedy_options).Run();
     ASSERT_TRUE(greedy.ok());
     EXPECT_LE(greedy->error, eps * ctx.MaxError() + 1e-9);
     // The exact evaluator needs at most as many tuples as the greedy one.
@@ -79,7 +84,12 @@ TEST(IntegrationTest, PtaRevealsChangesThatStaMisses) {
   ASSERT_TRUE(sta.ok());
   ASSERT_EQ(sta->size(), 4u);
 
-  auto pta = PtaBySize(proj, {{"Proj"}, {Avg("Sal", "AvgSal")}}, 4);
+  auto pta = PtaQuery::Over(proj)
+                 .GroupBy("Proj")
+                 .Aggregate(Avg("Sal", "AvgSal"))
+                 .Budget(Budget::Size(4))
+                 .Engine(Engine::kExactDp)
+                 .Run();
   ASSERT_TRUE(pta.ok());
 
   // Compare against ITA with Def. 5: PTA's 4 tuples carry less error than
@@ -126,8 +136,16 @@ TEST(IntegrationTest, CsvRoundTripThenAggregate) {
   auto loaded = ReadCsvFile(path, proj.schema());
   ASSERT_TRUE(loaded.ok());
 
-  auto a = PtaBySize(proj, {{"Proj"}, {Avg("Sal", "AvgSal")}}, 4);
-  auto b = PtaBySize(*loaded, {{"Proj"}, {Avg("Sal", "AvgSal")}}, 4);
+  const auto by_size_4 = [](const TemporalRelation& rel) {
+    return PtaQuery::Over(rel)
+        .GroupBy("Proj")
+        .Aggregate(Avg("Sal", "AvgSal"))
+        .Budget(Budget::Size(4))
+        .Engine(Engine::kExactDp)
+        .Run();
+  };
+  auto a = by_size_4(proj);
+  auto b = by_size_4(*loaded);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_TRUE(a->relation.ApproxEquals(b->relation));

@@ -477,15 +477,17 @@ TEST(ParallelReduceTest, InfeasibleBudgetReportsGlobalCmin) {
   EXPECT_EQ(red.status().code(), StatusCode::kInvalidArgument);
 }
 
-// ------------------------------------------------------------ public wrappers
+// ------------------------------------------------------- the parallel engine
 
 TEST(ParallelPtaTest, SingleThreadMatchesGreedyPtaExactly) {
   const TemporalRelation proj = MakeProjRelation();
   const ItaSpec spec{{"Proj"}, {Avg("Sal", "AvgSal")}};
   ParallelOptions parallel;
   parallel.num_threads = 1;  // one shard; must match gPTAc byte for byte
-  auto par = ParallelGreedyPtaBySize(proj, spec, 4, parallel);
-  auto seq = GreedyPtaBySize(proj, spec, 4);
+  const PtaQuery query =
+      PtaQuery::Over(proj).Spec(spec).Budget(Budget::Size(4));
+  auto par = PtaQuery(query).Engine(Engine::kParallel).Parallel(parallel).Run();
+  auto seq = PtaQuery(query).Engine(Engine::kGreedy).Run();
   ASSERT_TRUE(par.ok() && seq.ok());
   ExpectExactlyEqual(par->relation, seq->relation);
   EXPECT_EQ(par->error, seq->error);
@@ -500,12 +502,17 @@ TEST(ParallelPtaTest, ShardedRunKeepsGroupsIntactAndDisplayable) {
   ParallelOptions parallel;
   parallel.num_threads = 2;
   parallel.num_shards = 4;
-  ParallelStats stats;
-  auto par = ParallelGreedyPtaBySize(proj, spec, 4, parallel, {}, &stats);
+  PtaRunStats stats;
+  auto par = PtaQuery::Over(proj)
+                 .Spec(spec)
+                 .Budget(Budget::Size(4))
+                 .Engine(Engine::kParallel)
+                 .Parallel(parallel)
+                 .Run(&stats);
   ASSERT_TRUE(par.ok());
   EXPECT_TRUE(par->relation.Validate().ok());
   EXPECT_LE(par->relation.size(), 4u);
-  EXPECT_EQ(stats.num_shards, 4u);
+  EXPECT_EQ(stats.parallel.num_shards, 4u);
   const Schema group_schema({{"Proj", ValueType::kString}});
   auto displayable = par->relation.ToTemporalRelation(group_schema);
   ASSERT_TRUE(displayable.ok());
@@ -516,10 +523,16 @@ TEST(ParallelPtaTest, ShardByMustNameAGroupingAttribute) {
   const ItaSpec spec{{"Proj"}, {Avg("Sal", "AvgSal")}};
   ParallelOptions parallel;
   parallel.shard_by = {"Sal"};  // an aggregate, not a grouping attribute
-  EXPECT_FALSE(ParallelGreedyPtaBySize(proj, spec, 4, parallel).ok());
+  EXPECT_FALSE(PtaQuery::Over(proj)
+                   .Spec(spec)
+                   .Budget(Budget::Size(4))
+                   .Engine(Engine::kParallel)
+                   .Parallel(parallel)
+                   .Run()
+                   .ok());
 }
 
-TEST(ParallelPtaTest, ErrorBoundedWrapperTracksSequentialQuality) {
+TEST(ParallelPtaTest, ErrorBoundedRunTracksSequentialQuality) {
   SyntheticOptions synth;
   synth.num_tuples = 400;
   synth.num_dims = 2;
@@ -529,7 +542,12 @@ TEST(ParallelPtaTest, ErrorBoundedWrapperTracksSequentialQuality) {
   ParallelOptions parallel;
   parallel.num_threads = 2;
   parallel.num_shards = 3;
-  auto par = ParallelGreedyPtaByError(rel, spec, 0.3, parallel);
+  auto par = PtaQuery::Over(rel)
+                 .Spec(spec)
+                 .Budget(Budget::RelativeError(0.3))
+                 .Engine(Engine::kParallel)
+                 .Parallel(parallel)
+                 .Run();
   ASSERT_TRUE(par.ok());
   EXPECT_TRUE(par->relation.Validate().ok());
   auto ita = Ita(rel, spec);

@@ -11,9 +11,21 @@ using testing::MakeProjRelation;
 
 ItaSpec ProjAvgSpec() { return {{"Proj"}, {Avg("Sal", "AvgSal")}}; }
 
+// The builder bound to one input, spec and engine; each test adds the
+// budget and any tuning, then runs it.
+PtaQuery ExactQuery(const TemporalRelation& rel,
+                    const ItaSpec& spec = ProjAvgSpec()) {
+  return PtaQuery::Over(rel).Spec(spec).Engine(Engine::kExactDp);
+}
+
+PtaQuery GreedyQuery(const TemporalRelation& rel,
+                     const ItaSpec& spec = ProjAvgSpec()) {
+  return PtaQuery::Over(rel).Spec(spec).Engine(Engine::kGreedy);
+}
+
 TEST(PtaApiTest, SizeBoundedRunsTheFullPipeline) {
   const TemporalRelation proj = MakeProjRelation();
-  auto result = PtaBySize(proj, ProjAvgSpec(), 4);
+  auto result = ExactQuery(proj).Budget(Budget::Size(4)).Run();
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->ita_size, 7u);
   EXPECT_EQ(result->relation.size(), 4u);
@@ -31,26 +43,29 @@ TEST(PtaApiTest, SizeBoundedRunsTheFullPipeline) {
 
 TEST(PtaApiTest, ErrorBoundedReturnsMaximalReduction) {
   const TemporalRelation proj = MakeProjRelation();
-  auto all = PtaByError(proj, ProjAvgSpec(), 1.0);
+  auto all = ExactQuery(proj).Budget(Budget::RelativeError(1.0)).Run();
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->relation.size(), 3u);  // cmin
 
-  auto some = PtaByError(proj, ProjAvgSpec(), 0.2);
+  auto some = ExactQuery(proj).Budget(Budget::RelativeError(0.2)).Run();
   ASSERT_TRUE(some.ok());
   EXPECT_EQ(some->relation.size(), 4u);
 }
 
 TEST(PtaApiTest, GreedySizeBoundedMatchesGmsOnExample) {
   const TemporalRelation proj = MakeProjRelation();
-  GreedyStats stats;
+  PtaRunStats stats;
   GreedyPtaOptions options;
   options.delta = 1;
-  auto result = GreedyPtaBySize(proj, ProjAvgSpec(), 3, options, &stats);
+  auto result = GreedyQuery(proj)
+                    .Budget(Budget::Size(3))
+                    .Greedy(options)
+                    .Run(&stats);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->ita_size, 7u);
   ASSERT_EQ(result->relation.size(), 3u);
-  EXPECT_EQ(stats.max_heap_size, 5u);  // Example 21
-  // Group keys attached by the wrapper.
+  EXPECT_EQ(stats.greedy.max_heap_size, 5u);  // Example 21
+  // Group keys attached to the result.
   ASSERT_EQ(result->relation.group_keys().size(), 2u);
   EXPECT_EQ(result->relation.group_keys()[0][0].AsString(), "A");
 }
@@ -59,7 +74,10 @@ TEST(PtaApiTest, GreedyErrorBoundedEstimatesAndReduces) {
   const TemporalRelation proj = MakeProjRelation();
   GreedyPtaOptions options;
   options.sample_fraction = 1.0;  // sample everything: exact Êmax
-  auto result = GreedyPtaByError(proj, ProjAvgSpec(), 1.0, options);
+  auto result = GreedyQuery(proj)
+                    .Budget(Budget::RelativeError(1.0))
+                    .Greedy(options)
+                    .Run();
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->relation.size(), 3u);
 
@@ -67,7 +85,10 @@ TEST(PtaApiTest, GreedyErrorBoundedEstimatesAndReduces) {
   GreedyPtaOptions manual;
   manual.estimated_max_error = 269285.71;
   manual.estimated_n = 7;
-  auto result2 = GreedyPtaByError(proj, ProjAvgSpec(), 1.0, manual);
+  auto result2 = GreedyQuery(proj)
+                     .Budget(Budget::RelativeError(1.0))
+                     .Greedy(manual)
+                     .Run();
   ASSERT_TRUE(result2.ok());
   EXPECT_EQ(result2->relation.size(), 3u);
 }
@@ -75,8 +96,8 @@ TEST(PtaApiTest, GreedyErrorBoundedEstimatesAndReduces) {
 TEST(PtaApiTest, ExactAndGreedyAgreeOnEasyReductions) {
   // When the bound is loose both evaluations return the same relation.
   const TemporalRelation proj = MakeProjRelation();
-  auto exact = PtaBySize(proj, ProjAvgSpec(), 6);
-  auto greedy = GreedyPtaBySize(proj, ProjAvgSpec(), 6);
+  auto exact = ExactQuery(proj).Budget(Budget::Size(6)).Run();
+  auto greedy = GreedyQuery(proj).Budget(Budget::Size(6)).Run();
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(greedy.ok());
   EXPECT_TRUE(exact->relation.ApproxEquals(greedy->relation, 1e-7));
@@ -84,16 +105,29 @@ TEST(PtaApiTest, ExactAndGreedyAgreeOnEasyReductions) {
 
 TEST(PtaApiTest, PropagatesSpecErrors) {
   const TemporalRelation proj = MakeProjRelation();
-  EXPECT_FALSE(PtaBySize(proj, {{"Nope"}, {Avg("Sal", "A")}}, 4).ok());
-  EXPECT_FALSE(PtaByError(proj, {{"Proj"}, {}}, 0.5).ok());
-  EXPECT_FALSE(GreedyPtaBySize(proj, {{"Proj"}, {Avg("Bad", "A")}}, 4).ok());
-  EXPECT_FALSE(GreedyPtaByError(proj, ProjAvgSpec(), 2.0).ok());
+  EXPECT_FALSE(ExactQuery(proj, {{"Nope"}, {Avg("Sal", "A")}})
+                   .Budget(Budget::Size(4))
+                   .Run()
+                   .ok());
+  EXPECT_FALSE(ExactQuery(proj, {{"Proj"}, {}})
+                   .Budget(Budget::RelativeError(0.5))
+                   .Run()
+                   .ok());
+  EXPECT_FALSE(GreedyQuery(proj, {{"Proj"}, {Avg("Bad", "A")}})
+                   .Budget(Budget::Size(4))
+                   .Run()
+                   .ok());
+  EXPECT_FALSE(GreedyQuery(proj).Budget(Budget::RelativeError(2.0)).Run().ok());
   // c below cmin.
-  EXPECT_FALSE(PtaBySize(proj, ProjAvgSpec(), 2).ok());
+  EXPECT_FALSE(ExactQuery(proj).Budget(Budget::Size(2)).Run().ok());
   // Invalid sampling fraction.
   GreedyPtaOptions bad;
   bad.sample_fraction = 0.0;
-  EXPECT_FALSE(GreedyPtaByError(proj, ProjAvgSpec(), 0.5, bad).ok());
+  EXPECT_FALSE(GreedyQuery(proj)
+                   .Budget(Budget::RelativeError(0.5))
+                   .Greedy(bad)
+                   .Run()
+                   .ok());
 }
 
 // --- Degenerate inputs: every public entry point must return a Result<>
@@ -113,69 +147,70 @@ TemporalRelation MakeSingleTupleRelation() {
 
 TEST(PtaApiDegenerateTest, EmptyRelationYieldsEmptyResult) {
   const TemporalRelation empty = MakeEmptyRelation();
-  auto by_size = PtaBySize(empty, ProjAvgSpec(), 1);
+  auto by_size = ExactQuery(empty).Budget(Budget::Size(1)).Run();
   ASSERT_TRUE(by_size.ok());
   EXPECT_EQ(by_size->relation.size(), 0u);
   EXPECT_EQ(by_size->ita_size, 0u);
   EXPECT_DOUBLE_EQ(by_size->error, 0.0);
 
-  auto by_error = PtaByError(empty, ProjAvgSpec(), 0.5);
+  auto by_error = ExactQuery(empty).Budget(Budget::RelativeError(0.5)).Run();
   ASSERT_TRUE(by_error.ok());
   EXPECT_EQ(by_error->relation.size(), 0u);
 
-  auto greedy_size = GreedyPtaBySize(empty, ProjAvgSpec(), 1);
+  auto greedy_size = GreedyQuery(empty).Budget(Budget::Size(1)).Run();
   ASSERT_TRUE(greedy_size.ok());
   EXPECT_EQ(greedy_size->relation.size(), 0u);
 
-  auto greedy_error = GreedyPtaByError(empty, ProjAvgSpec(), 0.5);
+  auto greedy_error =
+      GreedyQuery(empty).Budget(Budget::RelativeError(0.5)).Run();
   ASSERT_TRUE(greedy_error.ok());
   EXPECT_EQ(greedy_error->relation.size(), 0u);
 }
 
 TEST(PtaApiDegenerateTest, SingleTupleIsItsOwnReduction) {
   const TemporalRelation one = MakeSingleTupleRelation();
-  auto exact = PtaBySize(one, ProjAvgSpec(), 1);
+  auto exact = ExactQuery(one).Budget(Budget::Size(1)).Run();
   ASSERT_TRUE(exact.ok());
   EXPECT_EQ(exact->relation.size(), 1u);
   EXPECT_EQ(exact->ita_size, 1u);
   EXPECT_DOUBLE_EQ(exact->error, 0.0);
 
-  auto greedy = GreedyPtaBySize(one, ProjAvgSpec(), 1);
+  auto greedy = GreedyQuery(one).Budget(Budget::Size(1)).Run();
   ASSERT_TRUE(greedy.ok());
   EXPECT_EQ(greedy->relation.size(), 1u);
   EXPECT_EQ(greedy->ita_size, 1u);
   EXPECT_DOUBLE_EQ(greedy->error, 0.0);
 
-  auto by_error = PtaByError(one, ProjAvgSpec(), 0.0);
+  auto by_error = ExactQuery(one).Budget(Budget::RelativeError(0.0)).Run();
   ASSERT_TRUE(by_error.ok());
   EXPECT_EQ(by_error->relation.size(), 1u);
 }
 
 TEST(PtaApiDegenerateTest, ZeroSizeBoundIsRejected) {
   const TemporalRelation proj = MakeProjRelation();
-  auto exact = PtaBySize(proj, ProjAvgSpec(), 0);
+  auto exact = ExactQuery(proj).Budget(Budget::Size(0)).Run();
   ASSERT_FALSE(exact.ok());
   EXPECT_EQ(exact.status().code(), StatusCode::kInvalidArgument);
 
-  auto greedy = GreedyPtaBySize(proj, ProjAvgSpec(), 0);
+  auto greedy = GreedyQuery(proj).Budget(Budget::Size(0)).Run();
   ASSERT_FALSE(greedy.ok());
   EXPECT_EQ(greedy.status().code(), StatusCode::kInvalidArgument);
 
   // Rejected even when the input itself is empty.
   const TemporalRelation empty = MakeEmptyRelation();
-  EXPECT_FALSE(PtaBySize(empty, ProjAvgSpec(), 0).ok());
-  EXPECT_FALSE(GreedyPtaBySize(empty, ProjAvgSpec(), 0).ok());
+  EXPECT_FALSE(ExactQuery(empty).Budget(Budget::Size(0)).Run().ok());
+  EXPECT_FALSE(GreedyQuery(empty).Budget(Budget::Size(0)).Run().ok());
 }
 
 TEST(PtaApiDegenerateTest, SizeBoundAtOrAboveItaIsIdentity) {
   const TemporalRelation proj = MakeProjRelation();
   for (const size_t c : {size_t{7}, size_t{100}}) {
-    auto exact = PtaBySize(proj, ProjAvgSpec(), c);
+    auto exact = ExactQuery(proj).Budget(Budget::Size(c)).Run();
     ASSERT_TRUE(exact.ok()) << "c = " << c;
     EXPECT_EQ(exact->relation.size(), 7u);
     EXPECT_DOUBLE_EQ(exact->error, 0.0);
 
-    auto greedy = GreedyPtaBySize(proj, ProjAvgSpec(), c);
+    auto greedy = GreedyQuery(proj).Budget(Budget::Size(c)).Run();
     ASSERT_TRUE(greedy.ok()) << "c = " << c;
     EXPECT_EQ(greedy->relation.size(), 7u);
     EXPECT_DOUBLE_EQ(greedy->error, 0.0);
@@ -184,27 +219,33 @@ TEST(PtaApiDegenerateTest, SizeBoundAtOrAboveItaIsIdentity) {
 
 TEST(PtaApiDegenerateTest, ZeroEpsilonKeepsEverything) {
   const TemporalRelation proj = MakeProjRelation();
-  auto exact = PtaByError(proj, ProjAvgSpec(), 0.0);
+  auto exact = ExactQuery(proj).Budget(Budget::RelativeError(0.0)).Run();
   ASSERT_TRUE(exact.ok());
   EXPECT_EQ(exact->relation.size(), 7u);
   EXPECT_DOUBLE_EQ(exact->error, 0.0);
 
   GreedyPtaOptions options;
   options.sample_fraction = 1.0;
-  auto greedy = GreedyPtaByError(proj, ProjAvgSpec(), 0.0, options);
+  auto greedy = GreedyQuery(proj)
+                    .Budget(Budget::RelativeError(0.0))
+                    .Greedy(options)
+                    .Run();
   ASSERT_TRUE(greedy.ok());
   EXPECT_EQ(greedy->relation.size(), 7u);
 }
 
 TEST(PtaApiDegenerateTest, FullEpsilonReachesCmin) {
   const TemporalRelation proj = MakeProjRelation();
-  auto exact = PtaByError(proj, ProjAvgSpec(), 1.0);
+  auto exact = ExactQuery(proj).Budget(Budget::RelativeError(1.0)).Run();
   ASSERT_TRUE(exact.ok());
   EXPECT_EQ(exact->relation.size(), 3u);
 
   GreedyPtaOptions options;
   options.sample_fraction = 1.0;
-  auto greedy = GreedyPtaByError(proj, ProjAvgSpec(), 1.0, options);
+  auto greedy = GreedyQuery(proj)
+                    .Budget(Budget::RelativeError(1.0))
+                    .Greedy(options)
+                    .Run();
   ASSERT_TRUE(greedy.ok());
   EXPECT_EQ(greedy->relation.size(), 3u);
 }
@@ -212,13 +253,16 @@ TEST(PtaApiDegenerateTest, FullEpsilonReachesCmin) {
 TEST(PtaApiDegenerateTest, OutOfRangeEpsilonIsRejected) {
   const TemporalRelation proj = MakeProjRelation();
   for (const double eps : {-0.1, 1.5}) {
-    auto exact = PtaByError(proj, ProjAvgSpec(), eps);
+    auto exact = ExactQuery(proj).Budget(Budget::RelativeError(eps)).Run();
     ASSERT_FALSE(exact.ok()) << "eps = " << eps;
     EXPECT_EQ(exact.status().code(), StatusCode::kInvalidArgument);
 
     GreedyPtaOptions options;
     options.estimated_max_error = 100.0;  // skip sampling: eps must fail
-    auto greedy = GreedyPtaByError(proj, ProjAvgSpec(), eps, options);
+    auto greedy = GreedyQuery(proj)
+                      .Budget(Budget::RelativeError(eps))
+                      .Greedy(options)
+                      .Run();
     ASSERT_FALSE(greedy.ok()) << "eps = " << eps;
     EXPECT_EQ(greedy.status().code(), StatusCode::kInvalidArgument);
   }
@@ -226,9 +270,9 @@ TEST(PtaApiDegenerateTest, OutOfRangeEpsilonIsRejected) {
 
 TEST(PtaApiTest, WeightedQueriesFlowThrough) {
   const TemporalRelation proj = MakeProjRelation();
-  PtaOptions options;
+  DpOptions options;
   options.weights = {2.0};
-  auto result = PtaBySize(proj, ProjAvgSpec(), 4, options);
+  auto result = ExactQuery(proj).Budget(Budget::Size(4)).Exact(options).Run();
   ASSERT_TRUE(result.ok());
   // Same optimal partition, error scaled by w^2 = 4.
   EXPECT_NEAR(result->error, 4.0 * 49166.67, 0.05);

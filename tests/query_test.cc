@@ -1,8 +1,10 @@
 // The unified query surface (pta/query.h + pta/plan.h + pta/stream_api.h):
-//  * builder-vs-legacy equivalence — PtaQuery output is byte-identical to
-//    PtaBySize / PtaByError / GreedyPtaBySize / GreedyPtaByError /
-//    ParallelGreedyPtaBySize / ParallelGreedyPtaByError and to a
-//    streaming replay, for the same spec;
+//  * engine oracles — each batch engine's PtaQuery output is byte-identical
+//    to the raw building blocks it lowers to (Ita + the exact DP, gPTAc /
+//    gPTAε over a RelationSegmentSource, the sharded reducers over a
+//    ShardedSegmentSource) and to a streaming replay;
+//  * binding equivalence — Over(rel) equals OverSequential(Ita(rel));
+//  * the pinned engine x binding digest matrix;
 //  * planner validation — budget range, spec/schema mismatches, and the
 //    uniform weights check, one regression test per engine;
 //  * engine resolution (kAuto) and the plan/execute split.
@@ -19,6 +21,7 @@
 #include "pta/pta.h"
 #include "pta/stream_api.h"
 #include "test_util.h"
+#include "util/random.h"
 
 namespace pta {
 namespace {
@@ -45,103 +48,123 @@ ItaSpec FleetSpec() {
   return {{"G"}, {Avg("A1", "Avg1"), Avg("A2", "Avg2")}};
 }
 
-void ExpectSameResult(const Result<PtaResult>& built,
-                      const Result<PtaResult>& legacy) {
+void ExpectSameReduction(const Result<PtaResult>& built,
+                         const Result<Reduction>& direct, size_t ita_size) {
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  ExpectByteIdentical(built->relation, legacy->relation);
-  EXPECT_EQ(built->error, legacy->error);
-  EXPECT_EQ(built->ita_size, legacy->ita_size);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  ExpectByteIdentical(built->relation, direct->relation);
+  EXPECT_EQ(built->error, direct->error);
+  EXPECT_EQ(built->ita_size, ita_size);
 }
 
-// ---- builder vs legacy, engine by engine -------------------------------
-
-TEST(QueryEquivalenceTest, ExactDpBySizeMatchesLegacy) {
-  const TemporalRelation fleet = MakeFleet();
-  const auto built = PtaQuery::Over(fleet)
-                         .Spec(FleetSpec())
-                         .Budget(Budget::Size(64))
-                         .Engine(Engine::kExactDp)
-                         .Run();
-  ExpectSameResult(built, PtaBySize(fleet, FleetSpec(), 64));
+// The fleet's ITA result cut into `num_shards` shards the way the parallel
+// engine cuts it: by the stable hash of the grouping values.
+ShardedSegmentSource ShardFleetIta(const SequentialRelation& ita,
+                                   size_t num_shards) {
+  auto map = GroupShardMap(ita.group_keys(), FleetSpec().group_by, {},
+                           num_shards);
+  PTA_CHECK(map.ok());
+  RelationSegmentSource source(ita);
+  auto shards = ShardedSegmentSource::Partition(source, num_shards, *map);
+  PTA_CHECK(shards.ok());
+  return std::move(*shards);
 }
 
-TEST(QueryEquivalenceTest, ExactDpByErrorMatchesLegacy) {
+// ---- each engine against the building blocks it lowers to --------------
+
+TEST(QueryEquivalenceTest, ExactDpMatchesItaThenDp) {
   const TemporalRelation fleet = MakeFleet();
-  const auto built = PtaQuery::Over(fleet)
-                         .Spec(FleetSpec())
-                         .Budget(Budget::RelativeError(0.1))
-                         .Engine(Engine::kExactDp)
-                         .Run();
-  ExpectSameResult(built, PtaByError(fleet, FleetSpec(), 0.1));
+  auto ita = Ita(fleet, FleetSpec());
+  ASSERT_TRUE(ita.ok());
+  const PtaQuery query =
+      PtaQuery::Over(fleet).Spec(FleetSpec()).Engine(Engine::kExactDp);
+  ExpectSameReduction(query.WithBudget(Budget::Size(64)).Run(),
+                      ReduceToSizeDp(*ita, 64), ita->size());
+  ExpectSameReduction(query.WithBudget(Budget::RelativeError(0.1)).Run(),
+                      ReduceToErrorDp(*ita, 0.1), ita->size());
 }
 
-TEST(QueryEquivalenceTest, GreedyBySizeMatchesLegacy) {
+TEST(QueryEquivalenceTest, GreedyBySizeMatchesGptacOverTheIta) {
   const TemporalRelation fleet = MakeFleet();
+  auto ita = Ita(fleet, FleetSpec());
+  ASSERT_TRUE(ita.ok());
   PtaRunStats run_stats;
   const auto built = PtaQuery::Over(fleet)
                          .Spec(FleetSpec())
                          .Budget(Budget::Size(64))
                          .Engine(Engine::kGreedy)
                          .Run(&run_stats);
-  GreedyStats legacy_stats;
-  const auto legacy =
-      GreedyPtaBySize(fleet, FleetSpec(), 64, {}, &legacy_stats);
-  ExpectSameResult(built, legacy);
-  // The unified stats carry the same greedy counters.
+  RelationSegmentSource source(*ita);
+  GreedyStats direct_stats;
+  ExpectSameReduction(built,
+                      GreedyReduceToSize(source, 64, {}, &direct_stats),
+                      ita->size());
+  // The unified stats carry the reducer's counters.
   EXPECT_EQ(run_stats.engine, Engine::kGreedy);
-  EXPECT_EQ(run_stats.greedy.merges, legacy_stats.merges);
-  EXPECT_EQ(run_stats.greedy.max_heap_size, legacy_stats.max_heap_size);
-  EXPECT_EQ(run_stats.greedy.early_merges, legacy_stats.early_merges);
+  EXPECT_EQ(run_stats.greedy.merges, direct_stats.merges);
+  EXPECT_EQ(run_stats.greedy.max_heap_size, direct_stats.max_heap_size);
+  EXPECT_EQ(run_stats.greedy.early_merges, direct_stats.early_merges);
 }
 
-TEST(QueryEquivalenceTest, GreedyByErrorMatchesLegacy) {
+TEST(QueryEquivalenceTest, GreedyByErrorMatchesGptaeWithSampledEstimates) {
+  // Over a base relation gPTAε takes n̂ = 2|r| - 1 and samples Êmax from a
+  // Bernoulli sample of the base tuples (Sec. 6.3): ITA of the sample, its
+  // maximal error scaled by the inverse sampling rate.
   const TemporalRelation fleet = MakeFleet();
+  auto ita = Ita(fleet, FleetSpec());
+  ASSERT_TRUE(ita.ok());
   GreedyPtaOptions tuning;
-  tuning.sample_fraction = 0.5;  // exercise the sampling estimator too
+  tuning.sample_fraction = 0.5;
   const auto built = PtaQuery::Over(fleet)
                          .Spec(FleetSpec())
                          .Budget(Budget::RelativeError(0.2))
                          .Engine(Engine::kGreedy)
                          .Greedy(tuning)
                          .Run();
-  ExpectSameResult(built, GreedyPtaByError(fleet, FleetSpec(), 0.2, tuning));
+
+  TemporalRelation sample(fleet.schema());
+  Random rng(tuning.sample_seed);
+  for (const Tuple& t : fleet.tuples()) {
+    if (rng.Bernoulli(tuning.sample_fraction)) sample.InsertUnchecked(t);
+  }
+  auto sample_ita = Ita(sample, FleetSpec());
+  ASSERT_TRUE(sample_ita.ok());
+  GreedyErrorEstimates estimates;
+  estimates.estimated_n = 2 * fleet.size() - 1;
+  estimates.estimated_max_error =
+      ErrorContext(*sample_ita).MaxError() / tuning.sample_fraction;
+  RelationSegmentSource source(*ita);
+  ExpectSameReduction(built, GreedyReduceToError(source, 0.2, estimates),
+                      ita->size());
 }
 
-TEST(QueryEquivalenceTest, ParallelBySizeMatchesLegacy) {
+TEST(QueryEquivalenceTest, ParallelMatchesShardedReducers) {
   const TemporalRelation fleet = MakeFleet();
+  auto ita = Ita(fleet, FleetSpec());
+  ASSERT_TRUE(ita.ok());
   ParallelOptions parallel;
   parallel.num_shards = 4;  // pinned: deterministic on any host
   parallel.num_threads = 2;
-  PtaRunStats run_stats;
-  const auto built = PtaQuery::Over(fleet)
-                         .Spec(FleetSpec())
-                         .Budget(Budget::Size(64))
-                         .Engine(Engine::kParallel)
-                         .Parallel(parallel)
-                         .Run(&run_stats);
-  ParallelStats legacy_stats;
-  const auto legacy = ParallelGreedyPtaBySize(fleet, FleetSpec(), 64,
-                                              parallel, {}, &legacy_stats);
-  ExpectSameResult(built, legacy);
-  EXPECT_EQ(run_stats.engine, Engine::kParallel);
-  EXPECT_EQ(run_stats.parallel.num_shards, legacy_stats.num_shards);
-  EXPECT_EQ(run_stats.parallel.shard_budgets, legacy_stats.shard_budgets);
-}
+  const PtaQuery query = PtaQuery::Over(fleet)
+                             .Spec(FleetSpec())
+                             .Engine(Engine::kParallel)
+                             .Parallel(parallel);
+  ParallelReduceOptions reduce;
+  reduce.num_threads = parallel.num_threads;
+  const ShardedSegmentSource shards = ShardFleetIta(*ita, 4);
 
-TEST(QueryEquivalenceTest, ParallelByErrorMatchesLegacy) {
-  const TemporalRelation fleet = MakeFleet();
-  ParallelOptions parallel;
-  parallel.num_shards = 4;
-  parallel.num_threads = 2;
-  const auto built = PtaQuery::Over(fleet)
-                         .Spec(FleetSpec())
-                         .Budget(Budget::RelativeError(0.2))
-                         .Engine(Engine::kParallel)
-                         .Parallel(parallel)
-                         .Run();
-  ExpectSameResult(
-      built, ParallelGreedyPtaByError(fleet, FleetSpec(), 0.2, parallel));
+  PtaRunStats run_stats;
+  ParallelStats direct_stats;
+  ExpectSameReduction(
+      query.WithBudget(Budget::Size(64)).Run(&run_stats),
+      ParallelReduceToSize(shards, 64, reduce, &direct_stats), ita->size());
+  EXPECT_EQ(run_stats.engine, Engine::kParallel);
+  EXPECT_EQ(run_stats.parallel.num_shards, direct_stats.num_shards);
+  EXPECT_EQ(run_stats.parallel.shard_budgets, direct_stats.shard_budgets);
+
+  ExpectSameReduction(query.WithBudget(Budget::RelativeError(0.2)).Run(),
+                      ParallelReduceToError(shards, 0.2, reduce),
+                      ita->size());
 }
 
 TEST(QueryEquivalenceTest, StreamingReplayMatchesGreedyBySize) {
@@ -159,10 +182,14 @@ TEST(QueryEquivalenceTest, StreamingReplayMatchesGreedyBySize) {
   auto streamed = replay->Finalize();
   ASSERT_TRUE(streamed.ok());
 
-  const auto legacy = GreedyPtaBySize(fleet, FleetSpec(), 64);
-  ASSERT_TRUE(legacy.ok());
-  ExpectByteIdentical(*streamed, legacy->relation);
-  EXPECT_EQ(replay->total_error(), legacy->error);
+  const auto greedy = PtaQuery::Over(fleet)
+                          .Spec(FleetSpec())
+                          .Budget(Budget::Size(64))
+                          .Engine(Engine::kGreedy)
+                          .Run();
+  ASSERT_TRUE(greedy.ok());
+  ExpectByteIdentical(*streamed, greedy->relation);
+  EXPECT_EQ(replay->total_error(), greedy->error);
 }
 
 TEST(QueryEquivalenceTest, ShardedStreamingReplayIsDeterministic) {
@@ -204,23 +231,56 @@ TEST(QueryEquivalenceTest, OverSequentialMatchesDirectReducers) {
                          .Budget(Budget::Size(64))
                          .Engine(Engine::kExactDp)
                          .Run();
-  auto exact_direct = ReduceToSizeDp(*ita, 64);
-  ASSERT_TRUE(exact.ok());
-  ASSERT_TRUE(exact_direct.ok());
-  ExpectByteIdentical(exact->relation, exact_direct->relation);
-  EXPECT_EQ(exact->error, exact_direct->error);
-  EXPECT_EQ(exact->ita_size, ita->size());
+  ExpectSameReduction(exact, ReduceToSizeDp(*ita, 64), ita->size());
 
   const auto greedy = PtaQuery::OverSequential(*ita)
                           .Budget(Budget::Size(64))
                           .Engine(Engine::kGreedy)
                           .Run();
   RelationSegmentSource source(*ita);
-  auto greedy_direct = GreedyReduceToSize(source, 64);
-  ASSERT_TRUE(greedy.ok());
-  ASSERT_TRUE(greedy_direct.ok());
-  ExpectByteIdentical(greedy->relation, greedy_direct->relation);
-  EXPECT_EQ(greedy->error, greedy_direct->error);
+  ExpectSameReduction(greedy, GreedyReduceToSize(source, 64), ita->size());
+}
+
+TEST(QueryEquivalenceTest, BothBindingsAgreeBitForBit) {
+  // Binding a base relation runs ITA first; binding its ITA result skips
+  // it. Every engine whose policy does not look at the binding answers the
+  // two identically, metadata included. Greedy by error is not here: over
+  // a base relation it takes n̂ = 2|r| - 1 and samples Êmax from base
+  // tuples, over a sequential input n is exact and Êmax is sampled from
+  // segments, so the early-merge budgets differ.
+  PtaIndexCacheClear();
+  const TemporalRelation fleet = MakeFleet();
+  auto ita = Ita(fleet, FleetSpec());
+  ASSERT_TRUE(ita.ok());
+  ParallelOptions one_shard;
+  one_shard.num_shards = 1;
+  one_shard.num_threads = 2;
+  for (const Engine engine : {Engine::kExactDp, Engine::kGreedy,
+                              Engine::kParallel, Engine::kIndexed}) {
+    const auto over = PtaQuery::Over(fleet)
+                          .Spec(FleetSpec())
+                          .Budget(Budget::Size(64))
+                          .Engine(engine)
+                          .Parallel(one_shard)
+                          .Run();
+    const auto sequential = PtaQuery::OverSequential(*ita)
+                                .Budget(Budget::Size(64))
+                                .Engine(engine)
+                                .Parallel(one_shard)
+                                .Run();
+    ASSERT_TRUE(over.ok()) << EngineName(engine);
+    ASSERT_TRUE(sequential.ok()) << EngineName(engine);
+    EXPECT_TRUE(over->relation.BitwiseEquals(sequential->relation))
+        << EngineName(engine);
+    EXPECT_EQ(over->relation.group_keys(), sequential->relation.group_keys())
+        << EngineName(engine);
+    EXPECT_EQ(over->relation.value_names(),
+              sequential->relation.value_names())
+        << EngineName(engine);
+    EXPECT_EQ(over->error, sequential->error) << EngineName(engine);
+    EXPECT_EQ(over->ita_size, sequential->ita_size) << EngineName(engine);
+  }
+  PtaIndexCacheClear();
 }
 
 // ---- the pinned engine x binding matrix --------------------------------
@@ -373,7 +433,9 @@ TEST(QueryPlanTest, AutoPicksExactDpForSmallInputs) {
       PtaQuery::Over(proj).Spec(ProjAvgSpec()).Budget(Budget::Size(4)).Plan();
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->engine, Engine::kExactDp);
-  ExpectSameResult(plan->Execute(), PtaBySize(proj, ProjAvgSpec(), 4));
+  auto ita = Ita(proj, ProjAvgSpec());
+  ASSERT_TRUE(ita.ok());
+  ExpectSameReduction(plan->Execute(), ReduceToSizeDp(*ita, 4), ita->size());
 }
 
 TEST(QueryPlanTest, AutoPicksParallelWhenTuned) {
@@ -500,30 +562,33 @@ TEST(QueryPlanTest, UnboundStreamingQueryFailsGracefully) {
 
 TEST(QueryWeightsValidationTest, ExactDpRejectsBadWeightsAsStatus) {
   const TemporalRelation proj = MakeProjRelation();
-  PtaOptions options;
+  const PtaQuery query = PtaQuery::Over(proj)
+                             .Spec(ProjAvgSpec())
+                             .Budget(Budget::Size(4))
+                             .Engine(Engine::kExactDp);
+  DpOptions options;
   options.weights = {1.0, 2.0};  // arity 2, spec has 1 aggregate
-  auto legacy = PtaBySize(proj, ProjAvgSpec(), 4, options);
-  ASSERT_FALSE(legacy.ok());
-  EXPECT_EQ(legacy.status().code(), StatusCode::kInvalidArgument);
+  auto tuned = PtaQuery(query).Exact(options).Run();
+  ASSERT_FALSE(tuned.ok());
+  EXPECT_EQ(tuned.status().code(), StatusCode::kInvalidArgument);
 
-  auto built = PtaQuery::Over(proj)
-                   .Spec(ProjAvgSpec())
-                   .Budget(Budget::Size(4))
-                   .Engine(Engine::kExactDp)
-                   .Weights({1.0, 2.0})
-                   .Run();
-  ASSERT_FALSE(built.ok());
-  EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+  auto weighted = PtaQuery(query).Weights({1.0, 2.0}).Run();
+  ASSERT_FALSE(weighted.ok());
+  EXPECT_EQ(weighted.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(QueryWeightsValidationTest, GreedyRejectsBadWeightsAsStatus) {
   const TemporalRelation proj = MakeProjRelation();
   GreedyPtaOptions options;
   options.weights = {1.0, 2.0};
-  auto by_size = GreedyPtaBySize(proj, ProjAvgSpec(), 4, options);
+  const PtaQuery query = PtaQuery::Over(proj)
+                             .Spec(ProjAvgSpec())
+                             .Engine(Engine::kGreedy)
+                             .Greedy(options);
+  auto by_size = query.WithBudget(Budget::Size(4)).Run();
   ASSERT_FALSE(by_size.ok());
   EXPECT_EQ(by_size.status().code(), StatusCode::kInvalidArgument);
-  auto by_error = GreedyPtaByError(proj, ProjAvgSpec(), 0.5, options);
+  auto by_error = query.WithBudget(Budget::RelativeError(0.5)).Run();
   ASSERT_FALSE(by_error.ok());
   EXPECT_EQ(by_error.status().code(), StatusCode::kInvalidArgument);
 }
@@ -532,7 +597,12 @@ TEST(QueryWeightsValidationTest, ParallelRejectsBadWeightsAsStatus) {
   const TemporalRelation proj = MakeProjRelation();
   GreedyPtaOptions options;
   options.weights = {1.0, 2.0};
-  auto result = ParallelGreedyPtaBySize(proj, ProjAvgSpec(), 4, {}, options);
+  auto result = PtaQuery::Over(proj)
+                    .Spec(ProjAvgSpec())
+                    .Budget(Budget::Size(4))
+                    .Engine(Engine::kParallel)
+                    .Greedy(options)
+                    .Run();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
