@@ -6,13 +6,13 @@
 // or fitting different screen widths). This example runs the serving
 // subsystem (src/serve/) end to end:
 //
-//   1. register a dataset once — the server owns the data, so the index
-//      cache's pointer-keyed fingerprints stay stable;
+//   1. register a dataset once — the server owns the data as a shared
+//      input, whose owner keys the index cache;
 //   2. open sessions (one per widget) and cut at many budgets: the first
 //      request builds the index, everything after is an O(k) cached cut —
 //      including concurrent requests, which coalesce onto one build;
 //   3. answer a whole zoom ladder with one MultiBudgetCut walk;
-//   4. update the dataset in place: the server bumps the cache generation,
+//   4. update the dataset: the server installs the data as a new owner,
 //      so the next request rebuilds over the fresh data instead of
 //      serving a stale dendrogram.
 
@@ -108,8 +108,8 @@ int main() {
     std::printf("  %5zu rows, SSE %.4g\n", level.relation.size(), level.error);
   }
 
-  // The fleet re-uploads: same name, new readings. The in-place swap bumps
-  // the cache generation — the old index is unreachable, not stale-served.
+  // The fleet re-uploads: same name, new readings, a new owner — the old
+  // index can never answer for it.
   PTA_CHECK(server.UpdateDataset("fleet", MakeFleet(8)).ok());
   watch.Restart();
   PtaRunStats fresh_stats;

@@ -136,5 +136,8 @@ elif [[ "$mode" == "analyze" ]]; then
   fi
   echo "analyze: done"
 else
-  cd "$build_dir" && ctest --output-on-failure "${ctest_args[@]}" -j
+  (cd "$build_dir" && ctest --output-on-failure "${ctest_args[@]}" -j)
 fi
+
+# The library's size, recorded per run so its trend shows in the logs.
+echo "src lines: $(git ls-files src | xargs cat | wc -l)"

@@ -18,8 +18,8 @@ Result<PtaQuery> PtaQuery::BudgetAuto(const advisor::AdvisorOptions& options,
         "budgeted by the caller");
   }
   // A placeholder budget shapes validation only: plan fingerprints are
-  // budget-stripped, so the probe hits (or seeds) the same cache entry a
-  // later indexed run of the recommendation uses.
+  // budget-stripped, so over a shared input the probe hits (or seeds) the
+  // cache entry a later indexed run of the recommendation uses.
   PtaQuery probe = *this;
   probe.Budget(pta::Budget::Size(1));
   auto plan = probe.Plan();

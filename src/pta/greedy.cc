@@ -62,35 +62,14 @@ Result<Reduction> GmsReduceToSize(const SequentialRelation& ita, size_t c,
                                   const GreedyOptions& options,
                                   GreedyStats* stats) {
   PTA_RETURN_IF_ERROR(ita.Validate());
-  if (c == 0) {
-    return Status::InvalidArgument("size bound c must be positive");
-  }
-  MergeHeap heap(ita.num_aggregates(), options.weights,
-                 options.merge_across_gaps);
-  Segment seg;
-  RelationSegmentSource src(ita);
-  int32_t head = MergeHeap::kNoNode;
-  int32_t tail = MergeHeap::kNoNode;
-  while (src.Next(&seg)) {
-    tail = heap.Insert(seg, tail);
-    if (head == MergeHeap::kNoNode) head = tail;
-  }
-
-  double total = 0.0;
-  size_t merges = 0;
-  while (heap.size() > c) {
-    if (heap.Peek().key == kInfiniteError) {
-      return Status::InvalidArgument(
-          "size bound " + std::to_string(c) + " is below cmin = " +
-          std::to_string(heap.size()));
-    }
-    total += heap.MergeTop();
-    ++merges;
-  }
-  FillStats(heap, merges, 0, stats);
-  Reduction out{heap.ExtractRelation(head), total};
-  out.relation.ShareGroupKeys(ita.shared_group_keys());
-  out.relation.SetValueNames(ita.value_names());
+  // GMS is gPTAc with every early merge deferred to the final drain.
+  GreedyOptions gms = options;
+  gms.eager = false;
+  RelationSegmentSource source(ita);
+  auto out = GreedyReduceToSize(source, c, gms, stats);
+  if (!out.ok()) return out;
+  out->relation.ShareGroupKeys(ita.shared_group_keys());
+  out->relation.SetValueNames(ita.value_names());
   return out;
 }
 

@@ -39,9 +39,9 @@
 // function of the input: thread count only changes the wall clock.
 //
 // The planner exposes the index as Engine::kIndexed, re-binds budgets with
-// PtaQuery::WithBudget, and caches built indexes by the budget-stripped
-// plan fingerprint (pta/plan.h) so that dashboard-style re-budgeting pays
-// one build and then O(k) per zoom level.
+// PtaQuery::WithBudget, and caches built indexes of shared inputs by owner
+// and budget-stripped plan fingerprint (pta/plan.h), so that
+// dashboard-style re-budgeting pays one build and then O(k) per zoom level.
 
 #ifndef PTA_PTA_INDEX_H_
 #define PTA_PTA_INDEX_H_

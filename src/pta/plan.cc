@@ -1,10 +1,9 @@
 #include "pta/plan.h"
 
+#include <algorithm>
 #include <cstring>
 #include <deque>
 #include <future>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "pta/dp.h"
@@ -134,97 +133,50 @@ class Fnv64 {
   uint64_t hash_ = 14695981039346656037ULL;
 };
 
-void MixInterval(Fnv64& h, const Interval& t) {
-  h.U64(static_cast<uint64_t>(t.begin));
-  h.U64(static_cast<uint64_t>(t.end));
-}
+// What a cached index answers for: the input's owner (held weakly, so the
+// cache never keeps data alive, and compared by owner, so a later input at
+// a reused address never matches), the bound address inside that owner,
+// and the plan's shape fingerprint.
+struct IndexKey {
+  std::weak_ptr<const void> owner;
+  const void* input = nullptr;
+  uint64_t fingerprint = 0;
 
-// Up to kGuardSamples deterministic row positions spread over [0, n):
-// always the two boundary rows plus evenly spaced interior rows. O(1)
-// work, but same-shaped data with stable boundary/sentinel rows and
-// different interiors still perturbs the fingerprint.
-constexpr size_t kGuardSamples = 8;
-
-template <typename MixRow>
-void MixSampledRows(size_t n, const MixRow& mix_row) {
-  if (n == 0) return;
-  size_t prev = n;  // sentinel: no row mixed yet
-  for (size_t k = 0; k < kGuardSamples; ++k) {
-    const size_t i = k * (n - 1) / (kGuardSamples - 1);
-    if (i == prev) continue;
-    mix_row(i);
-    prev = i;
+  static IndexKey Of(const PtaPlan& plan) {
+    IndexKey key;
+    key.owner = plan.owner;
+    key.input = plan.sequential != nullptr
+                    ? static_cast<const void*>(plan.sequential)
+                    : static_cast<const void*>(plan.relation);
+    key.fingerprint = PlanFingerprint(plan);
+    return key;
   }
-}
-
-// Cheap staleness guard for pointer-keyed cache entries: size plus a
-// deterministic row sample (boundaries + interior). A relation rebuilt at
-// the same address with other data almost surely moves one of these;
-// PtaIndexCacheClear() covers the rest.
-void MixSequentialGuard(Fnv64& h, const SequentialRelation& rel) {
-  h.U64(rel.size());
-  h.U64(rel.num_aggregates());
-  MixSampledRows(rel.size(), [&](size_t i) {
-    h.U64(static_cast<uint64_t>(static_cast<int64_t>(rel.group(i))));
-    MixInterval(h, rel.interval(i));
-    for (size_t d = 0; d < rel.num_aggregates(); ++d) h.F64(rel.value(i, d));
-  });
-}
-
-void MixValue(Fnv64& h, const Value& v) {
-  h.U64(static_cast<uint64_t>(v.type()));
-  switch (v.type()) {
-    case ValueType::kNull:
-      break;
-    case ValueType::kInt64:
-      h.U64(static_cast<uint64_t>(v.AsInt64()));
-      break;
-    case ValueType::kDouble:
-      h.F64(v.AsDoubleExact());
-      break;
-    case ValueType::kString:
-      h.Str(v.ToString());
-      break;
+  bool operator==(const IndexKey& other) const {
+    return fingerprint == other.fingerprint && input == other.input &&
+           SameOwner(owner, other.owner);
   }
-}
-
-void MixTuple(Fnv64& h, const Tuple& t) {
-  MixInterval(h, t.interval());
-  for (const Value& v : t.values()) MixValue(h, v);
-}
-
-void MixRelationGuard(Fnv64& h, const TemporalRelation& rel) {
-  h.U64(rel.size());
-  const Schema& schema = rel.schema();
-  h.U64(schema.num_attributes());
-  for (size_t i = 0; i < schema.num_attributes(); ++i) {
-    h.Str(schema.attribute(i).name);
-    h.U64(static_cast<uint64_t>(schema.attribute(i).type));
+  static bool SameOwner(const std::weak_ptr<const void>& a,
+                        const std::weak_ptr<const void>& b) {
+    return !a.owner_before(b) && !b.owner_before(a);
   }
-  // Sampled tuples with their full payloads, matching MixSequentialGuard's
-  // strength: reloading same-shaped data at a reused address almost surely
-  // moves one of these.
-  MixSampledRows(rel.size(), [&](size_t i) { MixTuple(h, rel.tuples()[i]); });
-}
+};
 
-// One build in flight per fingerprint: the first miss creates the record
-// and builds; every concurrent miss on the same fingerprint blocks on the
-// shared future instead of duplicating the work.
+// One build in flight per key: the first miss creates the record and
+// builds; every concurrent miss on the same key blocks on the shared
+// future instead of duplicating the work.
 struct InFlightBuild {
   struct Outcome {
     std::shared_ptr<const PtaIndex> index;  // null when the build failed
     Status status;
     double build_seconds = 0.0;
   };
+  IndexKey key;
   std::promise<Outcome> promise;
   std::shared_future<Outcome> future;
 };
 
 struct CacheEntry {
-  uint64_t fingerprint = 0;
-  /// The bound input address the index was built over — the key of
-  /// invalidation and pinning (not of lookup, which goes by fingerprint).
-  const void* input = nullptr;
+  IndexKey key;
   size_t bytes = 0;
   std::shared_ptr<const PtaIndex> index;
 };
@@ -234,22 +186,10 @@ struct IndexCacheState {
   /// Most recently used at the back; bounded by `config`.
   std::deque<CacheEntry> entries PTA_GUARDED_BY(mu);
   size_t total_bytes PTA_GUARDED_BY(mu) = 0;
-  /// Fingerprints of executed plans driving kAuto routing. FIFO-bounded at
-  /// kPtaIndexFingerprintMemory, but a fingerprint with a live entry is
-  /// never evicted from `seen` — routing must agree with cache contents.
-  std::deque<uint64_t> seen_order PTA_GUARDED_BY(mu);
-  std::unordered_set<uint64_t> seen PTA_GUARDED_BY(mu);
-  /// Builds in progress, keyed by fingerprint (the coalescing map).
-  std::unordered_map<uint64_t, std::shared_ptr<InFlightBuild>> inflight
-      PTA_GUARDED_BY(mu);
-  /// Generation tag per bound input address; bumped by
-  /// PtaIndexCacheInvalidate and mixed into PlanFingerprint, so stale
-  /// fingerprints of mutated/reloaded data become unreachable. Entries are
-  /// kept after invalidation on purpose: resetting a freed address to
-  /// generation 0 would resurrect its old fingerprints.
-  std::unordered_map<const void*, uint64_t> generations PTA_GUARDED_BY(mu);
-  /// Input addresses whose entries are exempt from budget eviction.
-  std::unordered_set<const void*> pinned PTA_GUARDED_BY(mu);
+  /// Builds in progress (the coalescing list; a handful at most).
+  std::vector<std::shared_ptr<InFlightBuild>> inflight PTA_GUARDED_BY(mu);
+  /// Owners whose entries are exempt from budget eviction.
+  std::vector<std::weak_ptr<const void>> pinned PTA_GUARDED_BY(mu);
   PtaIndexCacheConfig config PTA_GUARDED_BY(mu);
   PtaIndexCacheStats stats PTA_GUARDED_BY(mu);
   std::function<void(uint64_t)> build_hook PTA_GUARDED_BY(mu);
@@ -260,48 +200,22 @@ IndexCacheState& CacheState() {
   return *state;
 }
 
-bool HasEntryLocked(const IndexCacheState& state, uint64_t fingerprint)
+bool PinnedLocked(const IndexCacheState& state,
+                  const std::weak_ptr<const void>& owner)
     PTA_REQUIRES(state.mu) {
-  for (const CacheEntry& entry : state.entries) {
-    if (entry.fingerprint == fingerprint) return true;
+  for (const auto& pin : state.pinned) {
+    if (IndexKey::SameOwner(pin, owner)) return true;
   }
   return false;
 }
 
-void NoteFingerprintLocked(IndexCacheState& state, uint64_t fingerprint)
-    PTA_REQUIRES(state.mu) {
-  if (!state.seen.insert(fingerprint).second) return;
-  state.seen_order.push_back(fingerprint);
-  // Trim dead fingerprints beyond the memory bound. Live ones (an index
-  // still cached) rotate to the back instead of being forgotten; the
-  // rotation bound keeps this terminating even if every remembered
-  // fingerprint is live (the memory then grows past the soft bound).
-  size_t rotations_left = state.seen_order.size();
-  while (state.seen_order.size() > kPtaIndexFingerprintMemory &&
-         rotations_left-- > 0) {
-    const uint64_t front = state.seen_order.front();
-    state.seen_order.pop_front();
-    if (HasEntryLocked(state, front)) {
-      state.seen_order.push_back(front);
-      continue;
-    }
-    state.seen.erase(front);
-  }
-}
-
-bool PinnedLocked(const IndexCacheState& state, const void* input)
-    PTA_REQUIRES(state.mu) {
-  return state.pinned.count(input) > 0;
-}
-
 // Evicts least-recently-used unpinned entries until both budgets hold.
-// The entry with fingerprint `keep` (the one just inserted; pass a value
-// no fingerprint takes, e.g. when applying a config, to keep nothing
-// special) is never evicted: a cache whose budgets cannot fit the working
-// index must not thrash. Skipped (pinned/kept) entries make this a scan,
-// not a pop-front loop.
-void EvictToBudgetLocked(IndexCacheState& state, uint64_t keep,
-                         bool has_keep) PTA_REQUIRES(state.mu) {
+// The entry `keep` (the one just inserted; null to keep nothing special)
+// is never evicted: a cache whose budgets cannot fit the working index
+// must not thrash. Skipped (pinned/kept) entries make this a scan, not a
+// pop-front loop.
+void EvictToBudgetLocked(IndexCacheState& state, const IndexKey* keep)
+    PTA_REQUIRES(state.mu) {
   const auto over_budget = [&] {
     const size_t n = state.entries.size();
     if (state.config.max_entries != 0 && n > state.config.max_entries) {
@@ -312,8 +226,8 @@ void EvictToBudgetLocked(IndexCacheState& state, uint64_t keep,
   };
   auto it = state.entries.begin();
   while (over_budget() && it != state.entries.end()) {
-    if ((has_keep && it->fingerprint == keep) ||
-        PinnedLocked(state, it->input)) {
+    if ((keep != nullptr && it->key == *keep) ||
+        PinnedLocked(state, it->key.owner)) {
       ++it;
       continue;
     }
@@ -323,34 +237,32 @@ void EvictToBudgetLocked(IndexCacheState& state, uint64_t keep,
   }
 }
 
-void InsertLocked(IndexCacheState& state, uint64_t fingerprint,
-                  const void* input, std::shared_ptr<const PtaIndex> index)
+void InsertLocked(IndexCacheState& state, IndexKey key,
+                  std::shared_ptr<const PtaIndex> index)
     PTA_REQUIRES(state.mu) {
   for (auto it = state.entries.begin(); it != state.entries.end(); ++it) {
-    if (it->fingerprint == fingerprint) {
+    if (it->key == key) {
       state.total_bytes -= it->bytes;
       state.entries.erase(it);
       break;
     }
   }
   CacheEntry entry;
-  entry.fingerprint = fingerprint;
-  entry.input = input;
+  entry.key = std::move(key);
   entry.bytes = index != nullptr ? index->MemoryFootprint() : 0;
   entry.index = std::move(index);
   state.total_bytes += entry.bytes;
   state.entries.push_back(std::move(entry));
-  EvictToBudgetLocked(state, fingerprint, /*has_keep=*/true);
-  // An entry that survives eviction is live routing state: kAuto must see
-  // its fingerprint as executed for as long as the index is cached.
-  NoteFingerprintLocked(state, fingerprint);
+  // A copy: eviction erases from the deque, which moves its elements.
+  const IndexKey keep = state.entries.back().key;
+  EvictToBudgetLocked(state, &keep);
 }
 
 std::shared_ptr<const PtaIndex> LookupLocked(IndexCacheState& state,
-                                             uint64_t fingerprint)
+                                             const IndexKey& key)
     PTA_REQUIRES(state.mu) {
   for (auto it = state.entries.begin(); it != state.entries.end(); ++it) {
-    if (it->fingerprint == fingerprint) {
+    if (it->key == key) {
       CacheEntry entry = std::move(*it);
       state.entries.erase(it);
       state.entries.push_back(std::move(entry));  // refresh LRU position
@@ -360,20 +272,36 @@ std::shared_ptr<const PtaIndex> LookupLocked(IndexCacheState& state,
   return nullptr;
 }
 
+// Moves the entries and pins whose owner has expired out of the cache; the
+// caller releases them after unlocking, so freeing a large index never
+// holds up other lookups.
+std::vector<CacheEntry> TakeExpiredLocked(IndexCacheState& state)
+    PTA_REQUIRES(state.mu) {
+  std::vector<CacheEntry> expired;
+  for (auto it = state.entries.begin(); it != state.entries.end();) {
+    if (it->key.owner.expired()) {
+      state.total_bytes -= it->bytes;
+      expired.push_back(std::move(*it));
+      it = state.entries.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  auto& pins = state.pinned;
+  pins.erase(std::remove_if(pins.begin(), pins.end(),
+                            [](const auto& pin) { return pin.expired(); }),
+             pins.end());
+  return expired;
+}
+
 }  // namespace
 
 uint64_t PlanFingerprint(const PtaPlan& plan) {
   Fnv64 h;
   if (plan.sequential != nullptr) {
     h.U64(1);
-    h.U64(reinterpret_cast<uintptr_t>(plan.sequential));
-    h.U64(internal::IndexCacheInputGeneration(plan.sequential));
-    MixSequentialGuard(h, *plan.sequential);
   } else if (plan.relation != nullptr) {
     h.U64(2);
-    h.U64(reinterpret_cast<uintptr_t>(plan.relation));
-    h.U64(internal::IndexCacheInputGeneration(plan.relation));
-    MixRelationGuard(h, *plan.relation);
   } else {
     h.U64(3);
     h.U64(plan.stream_arity);
@@ -390,10 +318,8 @@ uint64_t PlanFingerprint(const PtaPlan& plan) {
   // so the greedy copy is authoritative. Delta and the gPTAε estimation
   // knobs stay out of the key: they tune how the *greedy* engines
   // approximate GMS, but the index's content — the recorded GMS order —
-  // is the same for all of them (which is also why the kAuto upgrade is
-  // an explicit WithBudget opt-in: an indexed answer is the GMS cut, not
-  // a byte-replay of a particular delta's run). The budget is
-  // deliberately absent — that is the whole point.
+  // is the same for all of them. The budget is deliberately absent — that
+  // is the whole point.
   h.U64(plan.greedy.weights.size());
   for (const double w : plan.greedy.weights) h.F64(w);
   h.U64(plan.greedy.merge_across_gaps ? 1 : 0);
@@ -404,7 +330,7 @@ void PtaIndexCacheSetConfig(const PtaIndexCacheConfig& config) {
   IndexCacheState& state = CacheState();
   MutexLock lock(&state.mu);
   state.config = config;
-  EvictToBudgetLocked(state, /*keep=*/0, /*has_keep=*/false);
+  EvictToBudgetLocked(state, /*keep=*/nullptr);
 }
 
 PtaIndexCacheConfig PtaIndexCacheGetConfig() {
@@ -431,86 +357,38 @@ PtaIndexCacheStats PtaIndexCacheGetStats() {
   return state.stats;
 }
 
-void PtaIndexCacheInvalidate(const void* input) {
+void PtaIndexCachePin(const std::shared_ptr<const void>& owner, bool pinned) {
   IndexCacheState& state = CacheState();
   MutexLock lock(&state.mu);
-  ++state.generations[input];
-  ++state.stats.invalidations;
-  // Drop the address's entries and forget their fingerprints: both are
-  // unreachable under the new generation, and keeping them would only
-  // occupy budget until LRU churn pushes them out. A build in flight for
-  // the old generation (started before this call) still completes and
-  // inserts a dead entry — harmless, evicted like any cold one.
-  for (auto it = state.entries.begin(); it != state.entries.end();) {
-    if (it->input == input) {
-      state.total_bytes -= it->bytes;
-      state.seen.erase(it->fingerprint);
-      for (auto o = state.seen_order.begin(); o != state.seen_order.end();
-           ++o) {
-        if (*o == it->fingerprint) {
-          state.seen_order.erase(o);
-          break;
-        }
-      }
-      it = state.entries.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void PtaIndexCachePin(const void* input, bool pinned) {
-  IndexCacheState& state = CacheState();
-  MutexLock lock(&state.mu);
+  auto& pins = state.pinned;
   if (pinned) {
-    state.pinned.insert(input);
+    if (!PinnedLocked(state, owner)) pins.emplace_back(owner);
   } else {
-    state.pinned.erase(input);
-    EvictToBudgetLocked(state, /*keep=*/0, /*has_keep=*/false);
+    pins.erase(std::remove_if(pins.begin(), pins.end(),
+                              [&](const auto& pin) {
+                                return IndexKey::SameOwner(pin, owner);
+                              }),
+               pins.end());
+    EvictToBudgetLocked(state, /*keep=*/nullptr);
   }
 }
 
 void PtaIndexCacheClear() {
   IndexCacheState& state = CacheState();
+  std::deque<CacheEntry> dropped;  // released after the lock
   MutexLock lock(&state.mu);
-  state.entries.clear();
+  dropped.swap(state.entries);
   state.total_bytes = 0;
-  state.seen_order.clear();
-  state.seen.clear();
 }
 
 namespace internal {
 
-bool IndexCacheSawFingerprint(uint64_t fingerprint) {
-  IndexCacheState& state = CacheState();
-  MutexLock lock(&state.mu);
-  return state.seen.count(fingerprint) > 0;
-}
-
-void IndexCacheNoteFingerprint(uint64_t fingerprint) {
-  IndexCacheState& state = CacheState();
-  MutexLock lock(&state.mu);
-  NoteFingerprintLocked(state, fingerprint);
-}
-
-std::shared_ptr<const PtaIndex> IndexCacheLookup(uint64_t fingerprint) {
-  IndexCacheState& state = CacheState();
-  MutexLock lock(&state.mu);
-  return LookupLocked(state, fingerprint);
-}
-
-void IndexCacheInsert(uint64_t fingerprint, const void* input,
+void IndexCacheInsert(const PtaPlan& plan,
                       std::shared_ptr<const PtaIndex> index) {
+  if (plan.owner == nullptr) return;
   IndexCacheState& state = CacheState();
   MutexLock lock(&state.mu);
-  InsertLocked(state, fingerprint, input, std::move(index));
-}
-
-uint64_t IndexCacheInputGeneration(const void* input) {
-  IndexCacheState& state = CacheState();
-  MutexLock lock(&state.mu);
-  const auto it = state.generations.find(input);
-  return it == state.generations.end() ? 0 : it->second;
+  InsertLocked(state, IndexKey::Of(plan), std::move(index));
 }
 
 void SetIndexCacheBuildHook(std::function<void(uint64_t)> hook) {
@@ -521,40 +399,44 @@ void SetIndexCacheBuildHook(std::function<void(uint64_t)> hook) {
 
 Result<std::shared_ptr<const PtaIndex>> IndexCacheGetOrBuild(
     const PtaPlan& plan, PtaIndexRunStats* stats) {
-  const uint64_t fingerprint = PlanFingerprint(plan);
-  const void* input_address = plan.sequential != nullptr
-                                  ? static_cast<const void*>(plan.sequential)
-                                  : static_cast<const void*>(plan.relation);
+  const bool cached = plan.owner != nullptr;
+  IndexKey key = IndexKey::Of(plan);
   IndexCacheState& state = CacheState();
   std::shared_ptr<InFlightBuild> build;
   bool owns_build = false;
+  std::vector<CacheEntry> expired;
   std::function<void(uint64_t)> hook;
   {
     MutexLock lock(&state.mu);
-    if (auto cached = LookupLocked(state, fingerprint)) {
-      ++state.stats.hits;
-      NoteFingerprintLocked(state, fingerprint);
-      if (stats != nullptr) stats->cache_hit = true;
-      return cached;
+    if (cached) {
+      if (auto index = LookupLocked(state, key)) {
+        ++state.stats.hits;
+        if (stats != nullptr) stats->cache_hit = true;
+        return index;
+      }
+      for (const auto& inflight : state.inflight) {
+        if (inflight->key == key) build = inflight;
+      }
     }
-    const auto it = state.inflight.find(fingerprint);
-    if (it != state.inflight.end()) {
+    if (build != nullptr) {
       ++state.stats.coalesced;
-      build = it->second;
     } else {
       ++state.stats.misses;
       ++state.stats.builds;
       build = std::make_shared<InFlightBuild>();
+      build->key = key;
       build->future = build->promise.get_future().share();
-      state.inflight.emplace(fingerprint, build);
+      if (cached) state.inflight.push_back(build);
       owns_build = true;
+      expired = TakeExpiredLocked(state);
       hook = state.build_hook;
     }
   }
+  expired.clear();  // the dead owners' indexes, freed outside the lock
 
   if (!owns_build) {
-    // Another thread is building this fingerprint right now; wait for its
-    // outcome instead of duplicating the work (and the memory).
+    // Another thread is building this key right now; wait for its outcome
+    // instead of duplicating the work (and the memory).
     const InFlightBuild::Outcome& outcome = build->future.get();
     if (!outcome.status.ok()) return outcome.status;
     if (stats != nullptr) {
@@ -564,12 +446,12 @@ Result<std::shared_ptr<const PtaIndex>> IndexCacheGetOrBuild(
     return outcome.index;
   }
 
-  if (hook) hook(fingerprint);
+  if (hook) hook(key.fingerprint);
   InFlightBuild::Outcome outcome;
   auto built = [&]() -> Result<PtaIndex> {
     SequentialRelation input;
     if (plan.sequential != nullptr) {
-      // Build() owns its leaves (the index must outlive the caller's
+      // Build() owns its leaves (the index may outlive the caller's
       // relation inside the cache), so the input is copied once here.
       input = *plan.sequential;
     } else {
@@ -594,12 +476,14 @@ Result<std::shared_ptr<const PtaIndex>> IndexCacheGetOrBuild(
   }
   {
     MutexLock lock(&state.mu);
-    state.inflight.erase(fingerprint);
-    if (outcome.index != nullptr) {
-      InsertLocked(state, fingerprint, input_address, outcome.index);
-    } else {
+    auto& inflight = state.inflight;
+    inflight.erase(std::remove(inflight.begin(), inflight.end(), build),
+                   inflight.end());
+    if (outcome.index == nullptr) {
       // A failed build is not remembered; the next request retries.
       --state.stats.builds;
+    } else if (cached) {
+      InsertLocked(state, std::move(key), outcome.index);
     }
   }
   // Fulfill outside the lock so woken waiters never contend on it.
@@ -799,12 +683,6 @@ Result<PtaResult> PtaPlan::Execute(PtaRunStats* stats) const {
   };
 
   auto out = run();
-  if (out.ok() && engine == Engine::kGreedy && stream_arity == 0) {
-    // Remember this budget-stripped shape: when the same query comes back
-    // with only the budget changed, kAuto upgrades it to the indexed cut
-    // (pta/query.cc) instead of repeating the full greedy run.
-    internal::IndexCacheNoteFingerprint(PlanFingerprint(*this));
-  }
   if (stats != nullptr) {
     stats->engine = engine;
     stats->run_seconds = watch.ElapsedSeconds();

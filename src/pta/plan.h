@@ -47,14 +47,13 @@ enum class Engine {
   kStreaming,
   /// The PtaIndex merge-tree (pta/index.h): one recorded greedy run, then
   /// every budget is an O(k) cut, byte-identical to the GMS reducers.
-  /// Built indexes are cached by the budget-stripped plan fingerprint, so
-  /// re-running the same query with only the budget changed skips both
-  /// ITA and the merge entirely.
+  /// Over a shared input binding the built index is cached under the
+  /// input's owner and the budget-stripped plan fingerprint, so re-running
+  /// the query with only the budget changed skips both ITA and the merge.
+  /// Over a plain reference the index serves this one run and is dropped.
   kIndexed,
   /// Planner's choice: kParallel when parallel tuning was given, else
-  /// kExactDp for small inputs and kGreedy beyond kAutoExactDpMaxInput —
-  /// upgraded to kIndexed when this budget-stripped query shape has
-  /// executed before (the re-budgeting fast path).
+  /// kExactDp for small inputs and kGreedy beyond kAutoExactDpMaxInput.
   kAuto,
 };
 
@@ -64,12 +63,6 @@ const char* EngineName(Engine engine);
 /// Largest input (base tuples or pre-aggregated segments) for which
 /// Engine::kAuto picks the exact dynamic program over the greedy reducer.
 inline constexpr size_t kAutoExactDpMaxInput = 4096;
-
-/// How many executed budget-stripped fingerprints the index cache
-/// remembers for kAuto's re-budgeting upgrade. The memory is FIFO over
-/// *dead* fingerprints only: a fingerprint whose index is still cached is
-/// never forgotten, so kAuto routing and cache contents cannot disagree.
-inline constexpr size_t kPtaIndexFingerprintMemory = 256;
 
 /// \brief The reduction budget of a PTA query: size-bounded (Def. 6) or
 /// relative-error-bounded (Def. 7).
@@ -176,10 +169,15 @@ struct PtaRunStats {
 /// binding is set: `relation` (ITA runs first), `sequential` (the input is
 /// already a sequential relation; ITA is skipped), or `stream_arity > 0`
 /// (a relation-less streaming query, driven through StreamingQuery).
-/// The bound input must outlive the plan.
+/// A reference-bound input must outlive the plan; a shared binding is kept
+/// alive by `owner`.
 struct PtaPlan {
   const TemporalRelation* relation = nullptr;
   const SequentialRelation* sequential = nullptr;
+  /// The shared owner of the bound input when the query was bound through
+  /// a shared_ptr (PtaQuery::Over / OverSequential); null for a reference
+  /// binding. Only owned inputs have their indexes cached.
+  std::shared_ptr<const void> owner;
   /// Aggregate arity of a relation-less streaming query; 0 otherwise.
   size_t stream_arity = 0;
 
@@ -208,23 +206,15 @@ struct PtaPlan {
   [[nodiscard]] Result<PtaResult> Execute(PtaRunStats* stats = nullptr) const;
 };
 
-/// \brief Budget-stripped fingerprint of a plan (FNV-1a, 64-bit).
+/// \brief Budget-stripped shape fingerprint of a plan (FNV-1a, 64-bit).
 ///
-/// Hashes what determines an index's content — the input binding (pointer,
-/// its current *generation* tag, size, and a sampled-row content guard: the
-/// boundary rows plus evenly spaced interior rows), the ItaSpec, the
-/// effective weights, and the gap-merging flag — but *not* the budget, the
-/// engine, or engine tuning that cannot change a reduction's merge order.
-/// Two plans with equal fingerprints answer every budget from the same
-/// PtaIndex; this is the key of the process-wide index cache below and of
-/// the kAuto re-budgeting upgrade.
-///
-/// The sampled-row guard is a heuristic, not a proof: mutating a row the
-/// sample misses (or reloading same-shaped data at a reused address) leaves
-/// the fingerprint unchanged. The generation tag closes that hole — callers
-/// that mutate or replace a bound input MUST announce it with
-/// PtaIndexCacheInvalidate(input), which bumps the tag and makes every
-/// prior fingerprint of that address unreachable.
+/// Hashes what determines an index's content given its input — the
+/// binding kind, the ItaSpec, the effective weights, and the gap-merging
+/// flag — but *not* the input's data, the budget, the engine, or engine
+/// tuning that cannot change a reduction's merge order. The process-wide
+/// index cache below keys each index by the input's owner plus this
+/// fingerprint, so two plans over one shared input with equal fingerprints
+/// answer every budget from the same PtaIndex.
 uint64_t PlanFingerprint(const PtaPlan& plan);
 
 /// \brief Capacity limits of the process-wide index cache.
@@ -263,52 +253,41 @@ struct PtaIndexCacheStats {
   uint64_t coalesced = 0;
   /// Entries dropped by the entry or byte budget.
   uint64_t evictions = 0;
-  /// PtaIndexCacheInvalidate calls (generation bumps).
-  uint64_t invalidations = 0;
 };
 PtaIndexCacheStats PtaIndexCacheGetStats();
 
-/// Announces that the data behind `input` (a TemporalRelation* or
-/// SequentialRelation* previously bound to a plan) changed or is about to
-/// be freed: bumps the address's generation tag — so every fingerprint
-/// computed before is unreachable — and drops the address's cached indexes
-/// and re-execution fingerprints. This is the invalidation contract that
-/// makes the pointer-keyed cache safe: mutate, then invalidate, then query.
-void PtaIndexCacheInvalidate(const void* input);
+/// Pins (or unpins) every cache entry built over the shared input `owner`:
+/// pinned entries are exempt from entry- and byte-budget eviction (Clear
+/// still drops them). A pin lapses with its owner. Serving layers pin
+/// their hot datasets.
+void PtaIndexCachePin(const std::shared_ptr<const void>& owner, bool pinned);
 
-/// Pins (or unpins) every cache entry built over `input`: pinned entries
-/// are exempt from entry- and byte-budget eviction (explicit invalidation
-/// and Clear still drop them). Serving layers pin their hot datasets.
-void PtaIndexCachePin(const void* input, bool pinned);
-
-/// Drops every cached index and all re-execution fingerprints. Generation
-/// tags and pins survive — clearing frees memory, it does not reset the
-/// invalidation history an address has accumulated.
+/// Drops every cached index. Pins survive — clearing frees memory, it does
+/// not change which inputs are hot.
 void PtaIndexCacheClear();
 
 class PtaIndex;  // pta/index.h
 
 namespace internal {
-// The plan cache's raw surface, shared by the planner (kAuto upgrade in
-// pta/query.cc), the kIndexed executor (pta/plan.cc), and the serving
-// layer (src/serve/). Thread-safe.
-/// True when Execute() already recorded this budget-stripped fingerprint.
-bool IndexCacheSawFingerprint(uint64_t fingerprint);
-/// Records that a query shape with this fingerprint executed.
-void IndexCacheNoteFingerprint(uint64_t fingerprint);
-/// The cached index for the fingerprint, or nullptr.
-std::shared_ptr<const PtaIndex> IndexCacheLookup(uint64_t fingerprint);
-/// Inserts a built index over the plan input `input` (LRU-evicting beyond
-/// the configured budgets; `input` keys invalidation and pinning).
-void IndexCacheInsert(uint64_t fingerprint, const void* input,
+// The plan cache's raw surface, shared by the kIndexed executor
+// (pta/plan.cc), the advisor, PTA-QL, and the serving layer (src/serve/).
+// Thread-safe.
+//
+// An entry is keyed by the plan's input owner — held weakly and compared by
+// owner, so an input allocated after another was freed never matches the
+// old entry, even at the same address — plus the bound address and
+// PlanFingerprint. Entries whose owner has expired are dropped on the next
+// miss, before its build starts.
+/// Inserts a built index for an owned plan's input (LRU-evicting beyond
+/// the configured budgets). A plan without an owner is not cached.
+void IndexCacheInsert(const PtaPlan& plan,
                       std::shared_ptr<const PtaIndex> index);
-/// Current generation tag of a bound input address (0 until invalidated).
-uint64_t IndexCacheInputGeneration(const void* input);
-/// The coalesced miss path: returns the cached index for the plan's
-/// fingerprint, joining an in-flight build when one exists, and otherwise
-/// builds exactly once — concurrent misses on one fingerprint trigger a
-/// single PtaIndex construction; the others block on its shared future.
-/// On success the index is inserted and the fingerprint noted. `stats`
+/// The coalesced miss path: returns the cached index for the plan's key,
+/// joining an in-flight build when one exists, and otherwise builds exactly
+/// once — concurrent misses on one key trigger a single PtaIndex
+/// construction; the others block on its shared future. On success an
+/// owned plan's index is inserted; a reference-bound plan builds for the
+/// caller alone (one miss, one build, nothing inserted). `stats`
 /// (optional) reports cache_hit / coalesced / build_seconds.
 [[nodiscard]] Result<std::shared_ptr<const PtaIndex>> IndexCacheGetOrBuild(
     const PtaPlan& plan, PtaIndexRunStats* stats);

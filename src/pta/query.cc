@@ -12,9 +12,24 @@ PtaQuery PtaQuery::Over(const TemporalRelation& rel) {
   return q;
 }
 
+PtaQuery PtaQuery::Over(std::shared_ptr<const TemporalRelation> rel) {
+  PtaQuery q;
+  q.relation_ = rel.get();
+  q.owner_ = std::move(rel);
+  return q;
+}
+
 PtaQuery PtaQuery::OverSequential(const SequentialRelation& rel) {
   PtaQuery q;
   q.sequential_ = &rel;
+  return q;
+}
+
+PtaQuery PtaQuery::OverSequential(
+    std::shared_ptr<const SequentialRelation> rel) {
+  PtaQuery q;
+  q.sequential_ = rel.get();
+  q.owner_ = std::move(rel);
   return q;
 }
 
@@ -59,7 +74,6 @@ PtaQuery& PtaQuery::Budget(pta::Budget budget) {
 PtaQuery PtaQuery::WithBudget(pta::Budget budget) const {
   PtaQuery rebound = *this;
   rebound.Budget(budget);
-  rebound.rebudget_opt_in_ = true;
   return rebound;
 }
 
@@ -254,6 +268,7 @@ Result<PtaPlan> PtaQuery::Plan() const {
   PtaPlan plan;
   plan.relation = relation_;
   plan.sequential = sequential_;
+  plan.owner = owner_;
   plan.stream_arity = is_stream_source_ ? stream_arity_ : 0;
   plan.spec = spec_;
   plan.budget = budget_;
@@ -268,22 +283,6 @@ Result<PtaPlan> PtaQuery::Plan() const {
   plan.streaming.weights = *engine_weights;
   if (engine == pta::Engine::kStreaming) {
     plan.streaming.size_budget = budget_.size();
-  }
-  if (rebudget_opt_in_ && engine_ == pta::Engine::kAuto &&
-      engine == pta::Engine::kGreedy &&
-      internal::IndexCacheSawFingerprint(PlanFingerprint(plan))) {
-    // Re-budgeting fast path: the caller re-bound this query through
-    // WithBudget and its budget-stripped shape has executed before, so
-    // the recorded merge tree answers any budget in O(k). The upgrade is
-    // gated three ways so results never change behind a caller's back:
-    // WithBudget is the explicit re-budgeting opt-in (a plain re-Run of
-    // the same query keeps its engine and its bytes); only greedy-sized
-    // resolutions upgrade, because the indexed cut returns the GMS result
-    // — the quality reference the greedy engines approximate — while a
-    // small input's kExactDp answer is a different (optimal) relation;
-    // and the shape must actually have executed, so a fresh query never
-    // pays an index build it did not ask for.
-    plan.engine = pta::Engine::kIndexed;
   }
   return plan;
 }

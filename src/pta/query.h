@@ -25,12 +25,18 @@
 //                            chunk through the StreamingQuery handle that
 //                            Start() returns (pta/stream_api.h).
 //
+// Over and OverSequential take the input by reference or shared. A shared
+// binding keeps the input alive and lets Engine::kIndexed reuse one built
+// PtaIndex across budgets; the input must not change while it is shared —
+// new data is a new shared_ptr.
+//
 // The builder is the only batch entry point; docs/API.md maps the paper's
 // algorithms onto it.
 
 #ifndef PTA_PTA_QUERY_H_
 #define PTA_PTA_QUERY_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,16 +56,23 @@ struct AdvisorOptions;
 ///
 /// Setters return *this, so a query reads as one chained expression; the
 /// builder is also copyable, so a partially-specified query can serve as a
-/// template. The bound input must outlive the builder and any plan or
-/// streaming handle produced from it.
+/// template. A reference-bound input must outlive the builder and any plan
+/// or streaming handle produced from it; a shared binding is kept alive by
+/// them.
 class PtaQuery {
  public:
   /// A query over a base temporal relation; ITA runs before reduction.
   static PtaQuery Over(const TemporalRelation& rel);
+  /// The shared binding: the query co-owns the relation, and kIndexed
+  /// runs cache their index under it (pta/plan.h). Treat `*rel` as
+  /// immutable while any query, plan or session holds it.
+  static PtaQuery Over(std::shared_ptr<const TemporalRelation> rel);
   /// A query over an already-aggregated sequential relation; ITA is
   /// skipped and GroupBy/Aggregate do not apply (the input's dense group
   /// ids and value columns are used as-is).
   static PtaQuery OverSequential(const SequentialRelation& rel);
+  /// The shared binding of a sequential input (see Over above).
+  static PtaQuery OverSequential(std::shared_ptr<const SequentialRelation> rel);
   /// A relation-less online query over segments with `num_aggregates`
   /// values; bind it with Start(). Engine defaults to kStreaming.
   static PtaQuery Stream(size_t num_aggregates);
@@ -80,20 +93,12 @@ class PtaQuery {
   /// `Budget::RelativeError(eps)`.
   PtaQuery& Budget(pta::Budget budget);
   /// A copy of this query with only the budget replaced — the re-budgeting
-  /// idiom, and the *explicit opt-in* to the indexed fast path. Because
-  /// everything else (and hence the budget-stripped plan fingerprint) is
-  /// unchanged, re-running the copy hits the PtaIndex plan cache: under
-  /// Engine::kIndexed immediately, and under kAuto the rebound copy
-  /// upgrades a previously executed greedy-sized shape to kIndexed — the
-  /// answer is then the GMS cut (the greedy engines' quality reference),
-  /// not a byte-replay of the default-delta gPTAc run. Queries that never
-  /// go through WithBudget or Engine::kIndexed keep their engine and
-  /// byte-identical results on every re-run.
+  /// idiom. The copy plans and runs like any query: under Engine::kIndexed
+  /// over a shared binding it cuts the index the first run cached.
   PtaQuery WithBudget(pta::Budget budget) const;
   /// Picks the evaluation backend; default kAuto (the planner chooses —
   /// kParallel when Parallel() tuning was given, else kExactDp up to
-  /// kAutoExactDpMaxInput input tuples and kGreedy beyond; a WithBudget
-  /// re-bind of an executed greedy-sized shape upgrades to kIndexed).
+  /// kAutoExactDpMaxInput input tuples and kGreedy beyond).
   PtaQuery& Engine(pta::Engine engine);
   /// Per-dimension error weights w_d (Def. 5); empty means all ones.
   /// Overrides any weights carried inside the option structs below.
@@ -128,11 +133,11 @@ class PtaQuery {
   /// Lets the granularity advisor pick the budget: plans the query,
   /// obtains (or builds) its PtaIndex through the plan cache, runs
   /// advisor::Advise, and returns a copy of this query re-budgeted via
-  /// WithBudget — so running the copy is the indexed fast path on the
-  /// index the advisor just consulted. `advice` (optional) receives the
-  /// full recommendation. Declared here, defined in the pta_advisor
-  /// library — include advisor/advisor.h and link pta_advisor to use it.
-  /// Requires a bound relation input (not a Stream source).
+  /// WithBudget. Under Engine::kIndexed over a shared binding, running the
+  /// copy cuts the index the advisor just consulted. `advice` (optional)
+  /// receives the full recommendation. Declared here, defined in the
+  /// pta_advisor library — include advisor/advisor.h and link pta_advisor
+  /// to use it. Requires a bound relation input (not a Stream source).
   [[nodiscard]] Result<PtaQuery> BudgetAuto(const advisor::AdvisorOptions& options,
                               advisor::Advice* advice = nullptr) const;
 
@@ -146,6 +151,9 @@ class PtaQuery {
 
   const TemporalRelation* relation_ = nullptr;
   const SequentialRelation* sequential_ = nullptr;
+  /// The shared binding's owner of relation_ / sequential_; null when the
+  /// input is bound by reference.
+  std::shared_ptr<const void> owner_;
   size_t stream_arity_ = 0;
   bool is_stream_source_ = false;
 
@@ -160,10 +168,6 @@ class PtaQuery {
   ParallelOptions parallel_;
   bool has_parallel_ = false;
   StreamingOptions streaming_;
-  /// Set by WithBudget: the caller declared this a re-budgeted query, so
-  /// kAuto may serve it from the PtaIndex plan cache. Never set on a
-  /// directly built query — plain re-runs must stay byte-stable.
-  bool rebudget_opt_in_ = false;
 };
 
 }  // namespace pta

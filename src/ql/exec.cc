@@ -1,6 +1,7 @@
 #include "ql/exec.h"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <utility>
 
@@ -200,11 +201,10 @@ Result<SequentialRelation> RunStreaming(const Query& query,
   return out;
 }
 
-Result<SequentialRelation> RunBatch(pta::Engine engine,
-                                    pta::Budget budget,
-                                    const SequentialRelation& ita,
-                                    const ExecOptions& options,
-                                    ExecStats* stats) {
+Result<SequentialRelation> RunBatch(
+    pta::Engine engine, pta::Budget budget,
+    const std::shared_ptr<const SequentialRelation>& ita,
+    const ExecOptions& options, ExecStats* stats) {
   PtaQuery pq = PtaQuery::OverSequential(ita).Budget(budget).Engine(engine);
   GreedyPtaOptions greedy;
   if (options.pin_identity) {
@@ -225,11 +225,6 @@ Result<SequentialRelation> RunBatch(pta::Engine engine,
   }
   PtaRunStats run_stats;
   auto result = pq.Run(&run_stats);
-  if (run_stats.engine == pta::Engine::kIndexed) {
-    // The executor's ITA relation dies with this call; drop the index the
-    // run cached under its address before the pointer can be reused.
-    PtaIndexCacheInvalidate(&ita);
-  }
   PTA_RETURN_IF_ERROR(result.status());
   stats->engine = run_stats.engine;
   stats->error = result->error;
@@ -240,10 +235,10 @@ Result<SequentialRelation> RunBatch(pta::Engine engine,
 // size for every engine — the resolution depends only on the query text
 // and the catalog, like everything else in PTA-QL. The probe plan's
 // fingerprint is budget-stripped, so the index built here is the same
-// cache entry a kIndexed run of this query reuses; Execute invalidates it
-// once the query is done (the ITA relation dies with the call).
-Result<size_t> ResolveAutoBudget(const Query& query,
-                                 const SequentialRelation& ita) {
+// cache entry a kIndexed run of this query reuses; the entry lapses with
+// the ITA relation when Execute returns.
+Result<size_t> ResolveAutoBudget(
+    const Query& query, const std::shared_ptr<const SequentialRelation>& ita) {
   PtaQuery probe = PtaQuery::OverSequential(ita).Budget(pta::Budget::Size(1));
   auto plan = probe.Plan();
   PTA_RETURN_IF_ERROR(plan.status());
@@ -343,20 +338,23 @@ Result<ExecResult> Execute(const Query& query, const Catalog& catalog,
   }
   out.stats.filtered_rows = input->size();
 
-  auto ita = Ita(*input, *spec);
-  PTA_RETURN_IF_ERROR(ita.status());
-  out.stats.ita_size = ita->size();
+  auto computed = Ita(*input, *spec);
+  PTA_RETURN_IF_ERROR(computed.status());
+  out.stats.ita_size = computed->size();
 
-  if (ita->empty()) {
+  if (computed->empty()) {
     // Nothing to reduce: the result is the (empty) ITA relation itself.
     // The engines disagree on empty input (the parallel scatter wants
     // group keys), so resolve it uniformly here.
-    out.relation = std::move(*ita);
+    out.relation = std::move(*computed);
     out.stats.engine =
         engine == pta::Engine::kAuto ? pta::Engine::kExactDp : engine;
   } else {
+    // Bound shared, so the advisor's index and a kIndexed run's are one
+    // cache entry, which lapses when this call returns.
+    const auto ita =
+        std::make_shared<const SequentialRelation>(std::move(*computed));
     pta::Budget budget = pta::Budget::Size(1);
-    bool advised = false;
     switch (query.budget.kind) {
       case BudgetClause::Kind::kSize:
         budget = pta::Budget::Size(query.budget.size);
@@ -365,7 +363,7 @@ Result<ExecResult> Execute(const Query& query, const Catalog& catalog,
         budget = pta::Budget::RelativeError(query.budget.eps);
         break;
       default: {  // kAutoKnee / kAutoError (kNone was rejected above)
-        auto resolved = ResolveAutoBudget(query, *ita);
+        auto resolved = ResolveAutoBudget(query, ita);
         if (!resolved.ok()) {
           if (resolved.status().code() == StatusCode::kInvalidArgument) {
             return ErrorAt(resolved.status().message(), query.budget.loc);
@@ -374,20 +372,13 @@ Result<ExecResult> Execute(const Query& query, const Catalog& catalog,
         }
         budget = pta::Budget::Size(*resolved);
         out.stats.advised_budget = *resolved;
-        advised = true;
         break;
       }
     }
     auto reduced =
         engine == pta::Engine::kStreaming
             ? RunStreaming(query, *ita, options, &out.stats)
-            : RunBatch(engine, budget, *ita, options, &out.stats);
-    if (advised) {
-      // The advisor cached an index under the executor-local ITA's
-      // address; drop it before the relation dies (RunBatch only does so
-      // for its own kIndexed runs).
-      PtaIndexCacheInvalidate(&*ita);
-    }
+            : RunBatch(engine, budget, ita, options, &out.stats);
     if (!reduced.ok()) {
       // Engine-level usage errors (e.g. "size bound c is below cmin") are
       // data-dependent and only surface at run time; anchor them at the

@@ -10,8 +10,9 @@
 #ifndef PTA_SERVE_DATASET_H_
 #define PTA_SERVE_DATASET_H_
 
-#include <optional>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "core/relation.h"
 #include "pta/segment.h"
@@ -23,32 +24,36 @@ namespace serve_internal {
 
 /// \brief One served dataset: name, reader/writer lock, and the data.
 ///
-/// The served data lives inside optionals so its address — the key of the
-/// index cache's fingerprints, pins, and generation tags — is stable for
-/// the dataset's whole lifetime, across in-place updates. Exactly one of
-/// the two optionals is engaged, fixed at registration; *which* one is
-/// engaged never changes, only the contained value does (that immutable
-/// engagement is what lets address() run lock-free below).
+/// The served data is held as an immutable shared input. Its owner is what
+/// the index cache keys this dataset's indexes and pin by, so an update
+/// installs a new owner instead of changing the data in place: indexes of
+/// the old data can never answer for the new. Exactly one of the two
+/// pointers is set, and which one is fixed at registration.
 struct Dataset {
+  Dataset(std::string name_in, TemporalRelation data)
+      : name(std::move(name_in)),
+        relation(std::make_shared<const TemporalRelation>(std::move(data))) {}
+  Dataset(std::string name_in, SequentialRelation data)
+      : name(std::move(name_in)),
+        sequential(
+            std::make_shared<const SequentialRelation>(std::move(data))) {}
+
   std::string name;
-  /// Queries hold this shared; UpdateDataset/DropDataset hold it
-  /// exclusive. Mutations therefore never race an index build reading the
-  /// data, and queries on distinct datasets never contend. The lock is
+  /// Queries hold this shared; UpdateDataset/PinDataset/DropDataset hold it
+  /// exclusive. Queries on distinct datasets never contend. The lock is
   /// writer-preferring: a waiting writer blocks later readers, so each
   /// server entry point takes it exactly once (never nested shared), and
   /// UpdateDataset swaps the old data out under it but frees it after.
   mutable SharedMutex mu;
-  std::optional<TemporalRelation> relation PTA_GUARDED_BY(mu);
-  std::optional<SequentialRelation> sequential PTA_GUARDED_BY(mu);
+  std::shared_ptr<const TemporalRelation> relation PTA_GUARDED_BY(mu);
+  std::shared_ptr<const SequentialRelation> sequential PTA_GUARDED_BY(mu);
+  /// Set by PinDataset; UpdateDataset carries the pin to the new owner.
+  bool pinned PTA_GUARDED_BY(mu) = false;
 
-  /// The stable cache-key address of the served data. Reads only the
-  /// optionals' engagement flag, which is fixed at registration and never
-  /// mutated — safe without the lock, but inexpressible in the annotation
-  /// language (GUARDED_BY covers the whole optional), hence the targeted
-  /// suppression.
-  const void* address() const PTA_NO_THREAD_SAFETY_ANALYSIS {
-    return relation.has_value() ? static_cast<const void*>(&*relation)
-                                : static_cast<const void*>(&*sequential);
+  /// The current data's owner, the index cache's key for this dataset.
+  std::shared_ptr<const void> owner() const PTA_REQUIRES_SHARED(mu) {
+    if (relation != nullptr) return relation;
+    return sequential;
   }
 };
 

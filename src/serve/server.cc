@@ -26,9 +26,9 @@ const std::string& PtaSession::dataset() const {
 }
 
 PtaQuery PtaSession::MakeQuery() const {
-  PtaQuery query = dataset_->relation.has_value()
-                       ? PtaQuery::Over(*dataset_->relation)
-                       : PtaQuery::OverSequential(*dataset_->sequential);
+  PtaQuery query = dataset_->relation != nullptr
+                       ? PtaQuery::Over(dataset_->relation)
+                       : PtaQuery::OverSequential(dataset_->sequential);
   query.Spec(spec_).Engine(Engine::kIndexed);
   if (!weights_.empty()) query.Weights(weights_);
   return query;
@@ -105,25 +105,22 @@ std::shared_ptr<Dataset> PtaServer::Find(const std::string& name) const {
 
 namespace {
 
-Status ValidateName(const std::string& name) {
-  if (name.empty()) {
-    return Status::InvalidArgument("dataset name must be non-empty");
-  }
-  return Status::Ok();
+// Moves a pinned dataset's pin from the owner an update replaced to the
+// current one.
+void CarryPin(const Dataset& dataset, const std::shared_ptr<const void>& old)
+    PTA_REQUIRES(dataset.mu) {
+  if (!dataset.pinned) return;
+  PtaIndexCachePin(old, false);
+  PtaIndexCachePin(dataset.owner(), true);
 }
 
 }  // namespace
 
-Status PtaServer::AddDataset(std::string name, TemporalRelation data) {
-  PTA_RETURN_IF_ERROR(ValidateName(name));
-  auto dataset = std::make_shared<Dataset>();
-  dataset->name = name;
-  {
-    // A freshly constructed record no other thread can reach yet; locked
-    // anyway so the annotated optionals stay inside their contract.
-    WriterMutexLock data_lock(&dataset->mu);
-    dataset->relation.emplace(std::move(data));
+Status PtaServer::Register(std::shared_ptr<Dataset> dataset) {
+  if (dataset->name.empty()) {
+    return Status::InvalidArgument("dataset name must be non-empty");
   }
+  std::string name = dataset->name;
   MutexLock lock(&registry_mu_);
   if (!datasets_.emplace(std::move(name), std::move(dataset)).second) {
     return Status::InvalidArgument("dataset already registered");
@@ -131,38 +128,30 @@ Status PtaServer::AddDataset(std::string name, TemporalRelation data) {
   return Status::Ok();
 }
 
+Status PtaServer::AddDataset(std::string name, TemporalRelation data) {
+  return Register(std::make_shared<Dataset>(std::move(name), std::move(data)));
+}
+
 Status PtaServer::AddDataset(std::string name, SequentialRelation data) {
-  PTA_RETURN_IF_ERROR(ValidateName(name));
-  auto dataset = std::make_shared<Dataset>();
-  dataset->name = name;
-  {
-    WriterMutexLock data_lock(&dataset->mu);
-    dataset->sequential.emplace(std::move(data));
-  }
-  MutexLock lock(&registry_mu_);
-  if (!datasets_.emplace(std::move(name), std::move(dataset)).second) {
-    return Status::InvalidArgument("dataset already registered");
-  }
-  return Status::Ok();
+  return Register(std::make_shared<Dataset>(std::move(name), std::move(data)));
 }
 
 Status PtaServer::UpdateDataset(const std::string& name,
                                 TemporalRelation data) {
   auto dataset = Find(name);
   if (dataset == nullptr) return Status::NotFound("unknown dataset: " + name);
+  // Declared before the lock, so the old data it receives is freed after
+  // the lock is released: readers queued behind this writer do not also
+  // wait for the free (tens of ms on large relations).
+  auto next = std::make_shared<const TemporalRelation>(std::move(data));
   WriterMutexLock lock(&dataset->mu);
-  if (!dataset->relation.has_value()) {
+  if (dataset->relation == nullptr) {
     return Status::InvalidArgument(
         "dataset is sequential; update it with a SequentialRelation");
   }
-  // The old data moves into `data` and is freed when the parameter dies,
-  // after the lock is released: readers queued behind this writer do not
-  // also wait for the free (tens of ms on large relations).
-  std::swap(*dataset->relation, data);
-  // Same address, new contents: bump the generation so every index built
-  // over the old data is unreachable. This runs under the exclusive lock,
-  // so a query can never fingerprint new data against an old generation.
-  PtaIndexCacheInvalidate(dataset->address());
+  // A new owner: the indexes of the old data lapse with it.
+  dataset->relation.swap(next);
+  CarryPin(*dataset, next);
   return Status::Ok();
 }
 
@@ -170,13 +159,14 @@ Status PtaServer::UpdateDataset(const std::string& name,
                                 SequentialRelation data) {
   auto dataset = Find(name);
   if (dataset == nullptr) return Status::NotFound("unknown dataset: " + name);
-  WriterMutexLock lock(&dataset->mu);
-  if (!dataset->sequential.has_value()) {
+  auto next = std::make_shared<const SequentialRelation>(std::move(data));
+  WriterMutexLock lock(&dataset->mu);  // old data freed after it, as above
+  if (dataset->sequential == nullptr) {
     return Status::InvalidArgument(
         "dataset is temporal; update it with a TemporalRelation");
   }
-  std::swap(*dataset->sequential, data);  // freed after the lock, as above
-  PtaIndexCacheInvalidate(dataset->address());
+  dataset->sequential.swap(next);
+  CarryPin(*dataset, next);
   return Status::Ok();
 }
 
@@ -191,20 +181,19 @@ Status PtaServer::DropDataset(const std::string& name) {
     dataset = std::move(it->second);
     datasets_.erase(it);
   }
-  // The address may be freed (and reused) once the last session releases
-  // the dataset; invalidating here makes every old fingerprint of it
-  // unreachable first, and the unpin stops exempting dead entries.
+  // Open sessions may still serve the data; only the pin goes.
   WriterMutexLock lock(&dataset->mu);
-  PtaIndexCachePin(dataset->address(), false);
-  PtaIndexCacheInvalidate(dataset->address());
+  if (dataset->pinned) PtaIndexCachePin(dataset->owner(), false);
+  dataset->pinned = false;
   return Status::Ok();
 }
 
 Status PtaServer::PinDataset(const std::string& name, bool pinned) {
   auto dataset = Find(name);
   if (dataset == nullptr) return Status::NotFound("unknown dataset: " + name);
-  ReaderMutexLock lock(&dataset->mu);
-  PtaIndexCachePin(dataset->address(), pinned);
+  WriterMutexLock lock(&dataset->mu);
+  dataset->pinned = pinned;
+  PtaIndexCachePin(dataset->owner(), pinned);
   return Status::Ok();
 }
 
@@ -259,38 +248,19 @@ Result<PtaSession> PtaServer::WarmStart(const std::string& name,
         "index was built with merge_across_gaps, which serve sessions "
         "never use; it cannot warm-start a served dataset");
   }
-  const std::vector<double> weights = loaded->weights();
-
-  // Register the recorded input as the served data; the dataset's stable
-  // address is what the cache keys fingerprints and generations by.
-  PTA_RETURN_IF_ERROR(AddDataset(name, SequentialRelation(loaded->input())));
-  auto handle = Find(name);
-  PtaSession session(this, std::move(handle), ItaSpec{}, weights);
-
-  Status failure;
-  {
-    ReaderMutexLock lock(&session.dataset_->mu);
-    auto plan = session.MakeQuery().Budget(Budget::Size(1)).Plan();
-    if (plan.ok()) {
-      // Seed the cache under the fingerprint a session query computes
-      // *now* — PlanFingerprint reads the address's current generation
-      // tag, so the warmed entry obeys the same invalidation contract as
-      // a built one, and noting the fingerprint keeps kAuto's re-budget
-      // routing consistent.
-      const uint64_t fingerprint = PlanFingerprint(*plan);
-      internal::IndexCacheInsert(
-          fingerprint, session.dataset_->address(),
-          std::make_shared<const PtaIndex>(std::move(*loaded)));
-      internal::IndexCacheNoteFingerprint(fingerprint);
-      return session;
-    }
-    failure = plan.status();
-  }
-  // Roll back the registration added above; it cannot fail (the name was
-  // just inserted and nothing else removes it), so the status is
-  // intentionally discarded.
-  PTA_IGNORE_STATUS(DropDataset(name));
-  return failure;
+  // The recorded input becomes the served data of a record built here, so
+  // the loaded index is seeded under this record's owner and no other.
+  PtaSession session(
+      this,
+      std::make_shared<Dataset>(name, SequentialRelation(loaded->input())),
+      ItaSpec{}, loaded->weights());
+  ReaderMutexLock lock(&session.dataset_->mu);
+  auto plan = session.MakeQuery().Budget(Budget::Size(1)).Plan();
+  if (!plan.ok()) return plan.status();
+  PTA_RETURN_IF_ERROR(Register(session.dataset_));
+  internal::IndexCacheInsert(
+      *plan, std::make_shared<const PtaIndex>(std::move(*loaded)));
+  return session;
 }
 
 Result<std::future<Result<PtaResult>>> PtaServer::Submit(PtaSession session,

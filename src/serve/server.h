@@ -8,12 +8,13 @@
 // hierarchy serving) — is exactly what PR 5's index cache was built for,
 // and exactly what stresses its concurrency story:
 //
-//   * many sessions miss the same fingerprint at once → the cache
-//     coalesces them onto ONE PtaIndex build (pta/plan.h,
+//   * many sessions miss the same index at once → the cache coalesces
+//     them onto ONE PtaIndex build (pta/plan.h,
 //     internal::IndexCacheGetOrBuild); the rest block on a shared future;
-//   * datasets change → UpdateDataset swaps the data in place under an
-//     exclusive lock and bumps the input's generation tag
-//     (PtaIndexCacheInvalidate), so no stale dendrogram can be served;
+//   * datasets change → each dataset holds its data as an immutable shared
+//     input, the owner the cache keys its indexes by; UpdateDataset
+//     installs a new owner under an exclusive lock, so no index of the old
+//     data can be served for the new, and the old owner's entries lapse;
 //   * memory is bounded → the cache's entry/byte budgets evict cold
 //     indexes; PinDataset exempts the hot ones;
 //   * load is bounded → async requests pass an admission check against a
@@ -21,7 +22,8 @@
 //     worker pool (util/thread_pool.h) is saturated.
 //
 // Threading model: PtaServer methods are thread-safe. Each dataset carries
-// a reader/writer lock — queries hold it shared, Update/Drop exclusive —
+// a reader/writer lock — queries hold it shared, Update/Pin/Drop
+// exclusive —
 // so cuts on one dataset run concurrently with cuts (and index builds) on
 // any dataset, and never concurrently with a mutation of their own. The
 // lock prefers writers (util/mutex.h SharedMutex): once an UpdateDataset
@@ -117,8 +119,9 @@ class PtaSession {
   PtaSession() = default;
 
   /// Answers one budget, synchronously on the calling thread. The
-  /// re-budgeting idiom: the first request (per dataset generation) builds
-  /// the index, every further budget is an O(k) frontier cut.
+  /// re-budgeting idiom: the first request after each AddDataset or
+  /// UpdateDataset builds the index, every further budget is an O(k)
+  /// frontier cut.
   [[nodiscard]] Result<PtaResult> Cut(Budget budget,
                                       PtaRunStats* stats = nullptr) const;
 
@@ -136,7 +139,7 @@ class PtaSession {
   /// Runs the granularity advisor (advisor/advisor.h) against the
   /// session's shared index: builds — or fetches — the cached PtaIndex
   /// under the dataset's shared lock, then walks its recorded error curve.
-  /// Like Cut, the first call per dataset generation pays the build; every
+  /// Like Cut, the first call per dataset version pays the build; every
   /// further recommendation is O(k log k). Holdout criteria materialize
   /// candidate cuts, so their callback runs under the shared lock too: it
   /// must not call back into this dataset (see the threading model above).
@@ -165,10 +168,9 @@ class PtaSession {
 
 /// \brief Long-lived owner of shared datasets and a request worker pool.
 ///
-/// Register datasets once (the server owns the data, so the cache's
-/// pointer-keyed fingerprints stay stable), open sessions against them,
-/// and route mutations through UpdateDataset so the index cache's
-/// invalidation contract is upheld automatically.
+/// Register datasets once (the server owns the data as shared inputs),
+/// open sessions against them, and route changes through UpdateDataset,
+/// which replaces a dataset's data with a new owner.
 class PtaServer {
  public:
   explicit PtaServer(ServeOptions options = {});
@@ -184,25 +186,26 @@ class PtaServer {
   /// Registers an already-aggregated sequential relation (ITA skipped).
   [[nodiscard]] Status AddDataset(std::string name, SequentialRelation data);
 
-  /// Replaces a dataset's contents in place — same address, new data —
-  /// excluding concurrent queries for the swap's duration, then bumps the
-  /// input's cache generation so every previously built index for it is
-  /// unreachable. The input kind must match the registration
-  /// (temporal/sequential). Open sessions keep working and rebuild the
-  /// index on their next request.
+  /// Replaces a dataset's data with a new shared input, excluding
+  /// concurrent queries for the swap's duration; indexes built over the
+  /// old data are keyed by the old owner and can never answer for the new
+  /// one. A pin moves to the new owner. The input kind must match the
+  /// registration (temporal/sequential). Open sessions keep working and
+  /// rebuild the index on their next request.
   [[nodiscard]] Status UpdateDataset(const std::string& name,
                                      TemporalRelation data);
   [[nodiscard]] Status UpdateDataset(const std::string& name,
                                      SequentialRelation data);
 
-  /// Unregisters a dataset: invalidates its cache entries, removes the pin,
-  /// and forgets the name. Sessions already open keep shared ownership of
-  /// the data and continue to work; new OpenSession calls fail NotFound.
+  /// Unregisters a dataset: removes the pin and forgets the name. Sessions
+  /// already open keep shared ownership of the data and continue to work;
+  /// the data's cache entries lapse once the last of them is gone. New
+  /// OpenSession calls fail NotFound.
   [[nodiscard]] Status DropDataset(const std::string& name);
 
   /// Pins (or unpins) the dataset's cache entries: pinned indexes are
   /// exempt from the cache's entry/byte eviction — the hot-set contract of
-  /// a serving process. Invalidation still drops them.
+  /// a serving process. The pin follows the dataset across updates.
   [[nodiscard]] Status PinDataset(const std::string& name, bool pinned);
 
   /// Opens a session: validates the spec against the dataset eagerly (so
@@ -223,14 +226,14 @@ class PtaServer {
 
   /// The warm-start path: loads a persisted index from `path`, registers
   /// its recorded input as a new sequential dataset under `name`, seeds
-  /// the process-wide plan cache with the loaded index under the
-  /// dataset's *current* generation tag, and returns an open session —
-  /// whose first Cut at any budget is an O(k) frontier walk, no rebuild.
-  /// The subsequent lifecycle is unchanged: UpdateDataset bumps the
-  /// generation and the warmed index becomes unreachable like any other
-  /// cache entry. Fails InvalidArgument on malformed index bytes, on a
-  /// duplicate name, or on a gap-merging index (serve sessions never use
-  /// merge_across_gaps, so such an index could never be served).
+  /// the process-wide plan cache with the loaded index under that
+  /// dataset's owner, and returns an open session — whose first Cut at any
+  /// budget is an O(k) frontier walk, no rebuild. The subsequent lifecycle
+  /// is unchanged: after UpdateDataset the warmed index lapses like any
+  /// other cache entry. Fails InvalidArgument on malformed index bytes, on
+  /// a duplicate name (leaving the cache as it was), or on a gap-merging
+  /// index (serve sessions never use merge_across_gaps, so such an index
+  /// could never be served).
   [[nodiscard]] Result<PtaSession> WarmStart(const std::string& name,
                                              const std::string& path);
 
@@ -241,6 +244,10 @@ class PtaServer {
   friend class PtaSession;
 
   std::shared_ptr<serve_internal::Dataset> Find(const std::string& name) const
+      PTA_EXCLUDES(registry_mu_);
+  /// Adds the record under its name; InvalidArgument on an empty or taken
+  /// name.
+  [[nodiscard]] Status Register(std::shared_ptr<serve_internal::Dataset> dataset)
       PTA_EXCLUDES(registry_mu_);
   [[nodiscard]] Result<std::future<Result<PtaResult>>> Submit(
       PtaSession session, Budget budget);

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "advisor/error_curve.h"
@@ -540,17 +541,22 @@ TEST(MultiResolutionTest, RejectsInfeasibleReaggregations) {
 // ---- PtaQuery::BudgetAuto ----------------------------------------------
 
 TEST(BudgetAutoTest, RebudgetsThroughThePlanCache) {
-  const SequentialRelation rel = RandomSequential(80, 2, 3, 0.2, 173);
+  const auto shared = std::make_shared<const SequentialRelation>(
+      RandomSequential(80, 2, 3, 0.2, 173));
+  const SequentialRelation& rel = *shared;
 
   Advice advice;
-  auto query = PtaQuery::OverSequential(rel).Engine(Engine::kIndexed)
+  auto query = PtaQuery::OverSequential(shared).Engine(Engine::kIndexed)
                    .BudgetAuto(AdvisorOptions::Knee(), &advice);
   ASSERT_TRUE(query.ok()) << query.status().ToString();
   EXPECT_GT(advice.budget, 0u);
 
-  auto result = query->Run();
+  PtaRunStats stats;
+  auto result = query->Run(&stats);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->relation.size(), advice.budget);
+  // The run cuts the index the advisor consulted: the shared input keys it.
+  EXPECT_TRUE(stats.indexed.cache_hit);
   // The run is the indexed cut at the advised budget, byte for byte.
   const PtaIndex index = BuildOrDie(rel);
   auto cut = index.CutToSize(advice.budget);
@@ -562,7 +568,7 @@ TEST(BudgetAutoTest, RebudgetsThroughThePlanCache) {
   // identity: the run equals CutToError(eps).
   Advice eps_advice;
   auto eps_query =
-      PtaQuery::OverSequential(rel).Engine(Engine::kIndexed)
+      PtaQuery::OverSequential(shared).Engine(Engine::kIndexed)
           .BudgetAuto(AdvisorOptions::TargetRelativeError(0.1), &eps_advice);
   ASSERT_TRUE(eps_query.ok());
   auto eps_result = eps_query->Run();
@@ -570,9 +576,6 @@ TEST(BudgetAutoTest, RebudgetsThroughThePlanCache) {
   auto eps_cut = index.CutToError(0.1);
   ASSERT_TRUE(eps_cut.ok());
   ExpectByteIdentical(eps_result->relation, eps_cut->relation);
-
-  // The local input's cache entries must not dangle past the test.
-  PtaIndexCacheInvalidate(&rel);
 }
 
 TEST(BudgetAutoTest, RejectsStreamSources) {

@@ -1,12 +1,9 @@
-// The hardened process-wide PtaIndex plan cache (pta/plan.h):
-//  * the stale-alias regression — mutating a bound input in a row the
-//    sampled fingerprint guard misses must be correctable through the
-//    explicit invalidation API (generation tags);
-//  * thundering-herd coalescing — N concurrent misses on one fingerprint
-//    trigger exactly one PtaIndex build, the rest join its shared future;
-//  * the FIFO fingerprint-memory boundary — a fingerprint whose index is
-//    still cached is never forgotten, so kAuto routing and cache contents
-//    cannot disagree at kPtaIndexFingerprintMemory;
+// The process-wide PtaIndex plan cache (pta/plan.h):
+//  * keyed by the input's owner — a reference-bound input is never cached,
+//    so editing it in place cannot serve a stale index, and a shared input
+//    released and followed by another never shares the first one's entry;
+//  * thundering-herd coalescing — N concurrent misses on one key trigger
+//    exactly one PtaIndex build, the rest join its shared future;
 //  * capacity: entry/byte budgets, LRU order, pinning;
 //  * concurrent CutToSize / CutToError / MultiBudgetCut on one shared
 //    index (the lazily computed Emax path), run under TSan by
@@ -19,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -34,7 +32,7 @@ namespace {
 using testing::ExpectByteIdentical;
 
 // A deterministic single-group gap-free sequential relation whose values
-// we control row by row (so a mutation can dodge the fingerprint sample).
+// we control row by row.
 SequentialRelation MakeRamp(size_t n, size_t mutated_row = SIZE_MAX,
                             double mutated_value = 0.0) {
   SequentialRelation rel(1, {"V"});
@@ -48,49 +46,41 @@ SequentialRelation MakeRamp(size_t n, size_t mutated_row = SIZE_MAX,
   return rel;
 }
 
+std::shared_ptr<const SequentialRelation> Share(SequentialRelation rel) {
+  return std::make_shared<const SequentialRelation>(std::move(rel));
+}
+
 PtaQuery IndexedQuery(const SequentialRelation& rel, size_t c) {
   return PtaQuery::OverSequential(rel)
       .Budget(Budget::Size(c))
       .Engine(Engine::kIndexed);
 }
 
-// ---- satellite 1: the stale-alias hole and its closure -----------------
+PtaQuery IndexedQuery(std::shared_ptr<const SequentialRelation> rel,
+                      size_t c) {
+  return PtaQuery::OverSequential(std::move(rel))
+      .Budget(Budget::Size(c))
+      .Engine(Engine::kIndexed);
+}
 
-TEST(PlanCacheStaleAliasTest, InvalidateServesFreshDataAfterUnsampledEdit) {
+// ---- the cache key: the input's owner, never its address ---------------
+
+TEST(PlanCacheStaleAliasTest, InPlaceEditOfAReferenceBoundInputIsServed) {
   PtaIndexCacheClear();
-  // n = 64 puts the 8-point sample grid at rows 0, 9, 18, ..., 63; row 30
-  // falls between sample points, so an edit there is invisible to the
-  // content guard.
+  // Row 30 of 64 lies between the rows an address-keyed cache once sampled
+  // as a content guard (0, 9, 18, ..., 63), so only a cache that never
+  // keys a reference-bound input by its address serves this edit.
   SequentialRelation rel = MakeRamp(64);
   const PtaQuery query = IndexedQuery(rel, 8);
-  auto plan_before = query.Plan();
-  ASSERT_TRUE(plan_before.ok());
-  const uint64_t fp_before = PlanFingerprint(*plan_before);
   ASSERT_TRUE(query.Run().ok());
-  EXPECT_EQ(PtaIndexCacheSize(), 1u);
 
-  // Mutate row 30 in place: same object (same address), new contents. The
-  // outlier value reshapes the greedy merge order, so a stale index would
-  // serve visibly wrong bytes.
+  // Same object (same address), new contents. The outlier reshapes the
+  // greedy merge order, so a stale index would serve visibly wrong bytes.
   rel = MakeRamp(64, /*mutated_row=*/30, /*mutated_value=*/500.0);
-  auto plan_after = query.Plan();
-  ASSERT_TRUE(plan_after.ok());
-  // The sampled guard alone cannot see the edit — this is the hole.
-  EXPECT_EQ(PlanFingerprint(*plan_after), fp_before);
-  PtaRunStats stale;
-  ASSERT_TRUE(query.Run(&stale).ok());
-  EXPECT_TRUE(stale.indexed.cache_hit);
-
-  // The contract: announce the mutation, and the old fingerprint becomes
-  // unreachable — the next run rebuilds over the new data.
-  PtaIndexCacheInvalidate(&rel);
-  auto plan_fresh = query.Plan();
-  ASSERT_TRUE(plan_fresh.ok());
-  EXPECT_NE(PlanFingerprint(*plan_fresh), fp_before);
-  PtaRunStats fresh;
-  const auto result = query.Run(&fresh);
+  PtaRunStats stats;
+  const auto result = query.Run(&stats);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE(fresh.indexed.cache_hit);
+  EXPECT_FALSE(stats.indexed.cache_hit);
   auto gms = GmsReduceToSize(rel, 8);
   ASSERT_TRUE(gms.ok());
   ExpectByteIdentical(result->relation, gms->relation);
@@ -98,33 +88,59 @@ TEST(PlanCacheStaleAliasTest, InvalidateServesFreshDataAfterUnsampledEdit) {
   PtaIndexCacheClear();
 }
 
-TEST(PlanCacheInvalidateTest, DropsEntriesFingerprintsAndBumpsStats) {
+TEST(PlanCacheOwnerTest, ReferenceBindingBuildsOnceAndCachesNothing) {
   PtaIndexCacheClear();
-  SequentialRelation rel = MakeRamp(64);
-  const PtaQuery query = IndexedQuery(rel, 8);
-  ASSERT_TRUE(query.Run().ok());
-  auto plan = query.Plan();
-  ASSERT_TRUE(plan.ok());
-  const uint64_t fp = PlanFingerprint(*plan);
-  ASSERT_TRUE(internal::IndexCacheSawFingerprint(fp));
-  ASSERT_EQ(PtaIndexCacheSize(), 1u);
-
+  const SequentialRelation rel = MakeRamp(64);
   const auto before = PtaIndexCacheGetStats();
-  PtaIndexCacheInvalidate(&rel);
+  PtaRunStats stats;
+  ASSERT_TRUE(IndexedQuery(rel, 8).Run(&stats).ok());
   const auto after = PtaIndexCacheGetStats();
-  EXPECT_EQ(after.invalidations, before.invalidations + 1);
+  EXPECT_FALSE(stats.indexed.cache_hit);
+  EXPECT_GT(stats.indexed.build_seconds, 0.0);
+  EXPECT_EQ(after.misses, before.misses + 1);
+  EXPECT_EQ(after.builds, before.builds + 1);
+  EXPECT_EQ(after.hits, before.hits);
   EXPECT_EQ(PtaIndexCacheSize(), 0u);
   EXPECT_EQ(PtaIndexCacheBytes(), 0u);
-  EXPECT_FALSE(internal::IndexCacheSawFingerprint(fp));
+}
+
+TEST(PlanCacheOwnerTest, ReleasedSharedInputNeverSharesAnEntry) {
+  PtaIndexCacheClear();
+  auto first = Share(MakeRamp(64));
+  PtaRunStats first_stats;
+  ASSERT_TRUE(IndexedQuery(first, 8).Run(&first_stats).ok());
+  EXPECT_FALSE(first_stats.indexed.cache_hit);
+  PtaRunStats again;
+  ASSERT_TRUE(IndexedQuery(first, 16).Run(&again).ok());
+  EXPECT_TRUE(again.indexed.cache_hit);
+  ASSERT_EQ(PtaIndexCacheSize(), 1u);
+  first.reset();
+
+  // Same shape and fingerprint, other data, made after the first input was
+  // released: it must miss, and the miss drops the released input's entry.
+  const auto second = Share(MakeRamp(64, /*mutated_row=*/30, 500.0));
+  PtaRunStats stats;
+  const auto result = IndexedQuery(second, 8).Run(&stats);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(stats.indexed.cache_hit);
+  EXPECT_FALSE(stats.indexed.coalesced);
+  auto gms = GmsReduceToSize(*second, 8);
+  ASSERT_TRUE(gms.ok());
+  ExpectByteIdentical(result->relation, gms->relation);
+  EXPECT_EQ(result->error, gms->error);
+  EXPECT_EQ(PtaIndexCacheSize(), 1u);
+  auto index = PtaIndex::Build(*second);
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ(PtaIndexCacheBytes(), index->MemoryFootprint());
   PtaIndexCacheClear();
 }
 
-// ---- satellite 2: thundering-herd coalescing ---------------------------
+// ---- thundering-herd coalescing ------------------------------------------
 
 TEST(PlanCacheCoalesceTest, ConcurrentMissesBuildExactlyOnce) {
   PtaIndexCacheClear();
-  const SequentialRelation rel =
-      testing::RandomSequential(400, 2, 4, /*gap_probability=*/0.0, 7);
+  const auto rel =
+      Share(testing::RandomSequential(400, 2, 4, /*gap_probability=*/0.0, 7));
   const PtaQuery query = IndexedQuery(rel, 32);
 
   // The build hook parks the one real builder until every other thread has
@@ -164,7 +180,7 @@ TEST(PlanCacheCoalesceTest, ConcurrentMissesBuildExactlyOnce) {
   EXPECT_EQ(after.misses, before.misses + 1);
   EXPECT_EQ(after.coalesced, before.coalesced + (kThreads - 1));
 
-  auto gms = GmsReduceToSize(rel, 32);
+  auto gms = GmsReduceToSize(*rel, 32);
   ASSERT_TRUE(gms.ok());
   int owners = 0;
   for (int i = 0; i < kThreads; ++i) {
@@ -181,40 +197,6 @@ TEST(PlanCacheCoalesceTest, ConcurrentMissesBuildExactlyOnce) {
   PtaIndexCacheClear();
 }
 
-// ---- satellite 3: FIFO fingerprint memory vs. live cache entries -------
-
-TEST(PlanCacheFingerprintMemoryTest, LiveFingerprintSurvivesFifoFlood) {
-  PtaIndexCacheClear();
-  SequentialRelation rel = MakeRamp(64);
-  const PtaQuery query = IndexedQuery(rel, 8);
-  ASSERT_TRUE(query.Run().ok());
-  auto plan = query.Plan();
-  ASSERT_TRUE(plan.ok());
-  const uint64_t live = PlanFingerprint(*plan);
-  ASSERT_TRUE(internal::IndexCacheSawFingerprint(live));
-  ASSERT_NE(internal::IndexCacheLookup(live), nullptr);
-
-  // One dead fingerprint (no cached index), then a flood of exactly
-  // kPtaIndexFingerprintMemory more: the FIFO memory must forget dead
-  // fingerprints in arrival order but rotate the live one — its index is
-  // still cached, and forgetting it would silently downgrade kAuto's
-  // re-budgeting routing while the index sits in memory.
-  const uint64_t dead = 0xdeadbeef12345678ull;
-  internal::IndexCacheNoteFingerprint(dead);
-  for (uint64_t i = 0; i < kPtaIndexFingerprintMemory; ++i) {
-    internal::IndexCacheNoteFingerprint(0xf100d00000000000ull + i);
-  }
-  EXPECT_FALSE(internal::IndexCacheSawFingerprint(dead));
-  EXPECT_TRUE(internal::IndexCacheSawFingerprint(live));
-  EXPECT_NE(internal::IndexCacheLookup(live), nullptr);
-  // The flood itself obeys the bound: its oldest entry fell off the back,
-  // its newest is still remembered.
-  EXPECT_FALSE(internal::IndexCacheSawFingerprint(0xf100d00000000000ull));
-  EXPECT_TRUE(internal::IndexCacheSawFingerprint(
-      0xf100d00000000000ull + kPtaIndexFingerprintMemory - 1));
-  PtaIndexCacheClear();
-}
-
 // ---- capacity: entry budget, byte budget, pinning ----------------------
 
 TEST(PlanCacheCapacityTest, EntryBudgetEvictsLruButNeverPinned) {
@@ -224,10 +206,10 @@ TEST(PlanCacheCapacityTest, EntryBudgetEvictsLruButNeverPinned) {
   config.max_entries = 2;
   PtaIndexCacheSetConfig(config);
 
-  SequentialRelation a = MakeRamp(64);
-  SequentialRelation b = MakeRamp(96);
-  SequentialRelation c = MakeRamp(128);
-  PtaIndexCachePin(&a, true);
+  const auto a = Share(MakeRamp(64));
+  const auto b = Share(MakeRamp(96));
+  const auto c = Share(MakeRamp(128));
+  PtaIndexCachePin(a, true);
   const auto before = PtaIndexCacheGetStats();
   ASSERT_TRUE(IndexedQuery(a, 8).Run().ok());
   ASSERT_TRUE(IndexedQuery(b, 8).Run().ok());
@@ -243,7 +225,7 @@ TEST(PlanCacheCapacityTest, EntryBudgetEvictsLruButNeverPinned) {
   ASSERT_TRUE(IndexedQuery(b, 8).Run(&on_b).ok());
   EXPECT_FALSE(on_b.indexed.cache_hit);  // b was the one evicted
 
-  PtaIndexCachePin(&a, false);
+  PtaIndexCachePin(a, false);
   PtaIndexCacheSetConfig(saved);
   PtaIndexCacheClear();
 }
@@ -252,8 +234,8 @@ TEST(PlanCacheCapacityTest, ByteBudgetEvictsButKeepsTheNewestEntry) {
   PtaIndexCacheClear();
   const PtaIndexCacheConfig saved = PtaIndexCacheGetConfig();
 
-  SequentialRelation a = MakeRamp(128);
-  SequentialRelation b = MakeRamp(128);  // same shape: equal footprints
+  const auto a = Share(MakeRamp(128));
+  const auto b = Share(MakeRamp(128));  // same shape: equal footprints
   ASSERT_TRUE(IndexedQuery(a, 8).Run().ok());
   const size_t one_index = PtaIndexCacheBytes();
   ASSERT_GT(one_index, 0u);
@@ -282,7 +264,7 @@ TEST(PlanCacheCapacityTest, ByteBudgetEvictsButKeepsTheNewestEntry) {
   PtaIndexCacheClear();
 }
 
-// ---- satellite 4: concurrent cuts on one shared index ------------------
+// ---- concurrent cuts on one shared index ---------------------------------
 
 TEST(SharedIndexConcurrencyTest, MixedCutsRaceOnLazyEmaxAndStayIdentical) {
   const SequentialRelation rel =

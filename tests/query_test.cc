@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -636,11 +637,12 @@ TEST(QueryWeightsValidationTest, NonPositiveWeightsRejectedEverywhere) {
 
 TEST(QueryIndexedTest, IndexedCutsMatchGmsOverTheSameIta) {
   PtaIndexCacheClear();
-  const TemporalRelation fleet = MakeFleet();
+  const auto shared = std::make_shared<const TemporalRelation>(MakeFleet());
+  const TemporalRelation& fleet = *shared;
   auto ita = Ita(fleet, FleetSpec());
   ASSERT_TRUE(ita.ok());
   PtaRunStats stats;
-  const auto indexed = PtaQuery::Over(fleet)
+  const auto indexed = PtaQuery::Over(shared)
                            .Spec(FleetSpec())
                            .Budget(Budget::Size(64))
                            .Engine(Engine::kIndexed)
@@ -658,8 +660,9 @@ TEST(QueryIndexedTest, IndexedCutsMatchGmsOverTheSameIta) {
 
 TEST(QueryIndexedTest, WithBudgetRebindHitsThePlanCache) {
   PtaIndexCacheClear();
-  const TemporalRelation fleet = MakeFleet();
-  const PtaQuery query = PtaQuery::Over(fleet)
+  const auto shared = std::make_shared<const TemporalRelation>(MakeFleet());
+  const TemporalRelation& fleet = *shared;
+  const PtaQuery query = PtaQuery::Over(shared)
                              .Spec(FleetSpec())
                              .Budget(Budget::Size(64))
                              .Engine(Engine::kIndexed);
@@ -701,7 +704,7 @@ TEST(QueryIndexedTest, WithBudgetRebindHitsThePlanCache) {
   EXPECT_EQ(PtaIndexCacheSize(), 1u);
 }
 
-TEST(QueryIndexedTest, AutoUpgradesReExecutedGreedyShapesToIndexed) {
+TEST(QueryIndexedTest, WithBudgetIsAPlainCopyUnderAuto) {
   PtaIndexCacheClear();
   SyntheticOptions options;
   options.num_tuples = kAutoExactDpMaxInput + 64;
@@ -709,22 +712,18 @@ TEST(QueryIndexedTest, AutoUpgradesReExecutedGreedyShapesToIndexed) {
   options.max_duration = 30;
   options.time_span = 2000;  // dense coverage: cmin stays near the group count
   options.seed = 17;
-  const TemporalRelation big = GenerateSyntheticRelation(options);
+  const auto big =
+      std::make_shared<const TemporalRelation>(GenerateSyntheticRelation(options));
   const PtaQuery query = PtaQuery::Over(big)
                              .GroupBy("G")
                              .Aggregate(Avg("A1", "Avg1"))
                              .Budget(Budget::Size(200));
-  // First plan resolves to plain greedy (nothing has executed yet).
-  auto first_plan = query.Plan();
-  ASSERT_TRUE(first_plan.ok());
-  EXPECT_EQ(first_plan->engine, Engine::kGreedy);
   PtaRunStats first;
   const auto first_result = query.Run(&first);
   ASSERT_TRUE(first_result.ok());
   EXPECT_EQ(first.engine, Engine::kGreedy);
 
-  // Re-running the *same* query (no WithBudget) must not change engine or
-  // bytes — the upgrade is an explicit re-budgeting opt-in.
+  // Re-running the same query keeps its engine and its bytes.
   PtaRunStats rerun_stats;
   const auto rerun = query.Run(&rerun_stats);
   ASSERT_TRUE(rerun.ok());
@@ -732,24 +731,22 @@ TEST(QueryIndexedTest, AutoUpgradesReExecutedGreedyShapesToIndexed) {
   ExpectByteIdentical(rerun->relation, first_result->relation);
   EXPECT_EQ(rerun->error, first_result->error);
 
-  // The WithBudget re-bind routes to the indexed cut...
-  const PtaQuery rebound = query.WithBudget(Budget::Size(120));
-  auto second_plan = rebound.Plan();
-  ASSERT_TRUE(second_plan.ok());
-  EXPECT_EQ(second_plan->engine, Engine::kIndexed);
-  PtaRunStats second;
-  const auto result = rebound.Run(&second);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(second.engine, Engine::kIndexed);
-  // ...and answers with the GMS cut of the same ITA result.
-  auto ita = Ita(big, ItaSpec{{"G"}, {Avg("A1", "Avg1")}});
-  ASSERT_TRUE(ita.ok());
-  auto gms = GmsReduceToSize(*ita, 120);
-  ASSERT_TRUE(gms.ok());
-  ExpectByteIdentical(result->relation, gms->relation);
+  // A re-budgeted copy plans exactly like the query built with that budget.
+  PtaRunStats rebound_stats;
+  const auto rebound = query.WithBudget(Budget::Size(120)).Run(&rebound_stats);
+  const auto direct = PtaQuery::Over(big)
+                          .GroupBy("G")
+                          .Aggregate(Avg("A1", "Avg1"))
+                          .Budget(Budget::Size(120))
+                          .Run();
+  ASSERT_TRUE(rebound.ok());
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(rebound_stats.engine, Engine::kGreedy);
+  ExpectByteIdentical(rebound->relation, direct->relation);
+  EXPECT_EQ(rebound->error, direct->error);
+  EXPECT_EQ(PtaIndexCacheSize(), 0u);
 
-  // Small inputs never upgrade: their kAuto answer is the exact DP, which
-  // must not silently change into a greedy-quality cut between runs.
+  // Small inputs stay on the exact DP across re-budgets.
   const TemporalRelation proj = MakeProjRelation();
   const PtaQuery small =
       PtaQuery::Over(proj).Spec(ProjAvgSpec()).Budget(Budget::Size(4));

@@ -1,7 +1,8 @@
 // The serving layer (src/serve/): PtaServer dataset lifecycle, session
 // requests (sync, async, zoom ladders), byte-identity of concurrently
-// served cuts against the single-threaded GMS reducers, the
-// update-then-invalidate contract, and admission control / shedding.
+// served cuts against the single-threaded GMS reducers, updates that
+// replace a dataset's owner (and carry its pin), warm starts, and
+// admission control / shedding.
 // Runs under TSan via scripts/ci.sh --tsan (label `serve`).
 
 #include "serve/server.h"
@@ -10,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <future>
 #include <optional>
 #include <thread>
@@ -18,6 +20,7 @@
 #include "core/ita.h"
 #include "datasets/synthetic.h"
 #include "pta/greedy.h"
+#include "pta/index.h"
 #include "test_util.h"
 
 namespace pta {
@@ -280,7 +283,7 @@ TEST(PtaServerTest, AdmissionShedsWhenQueueIsFull) {
   PtaIndexCacheClear();
 }
 
-// ---- mutation: update-then-invalidate, drop semantics ------------------
+// ---- mutation: updates replace the owner, drop semantics ---------------
 
 TEST(PtaServerTest, UpdateDatasetServesFreshBytes) {
   PtaIndexCacheClear();
@@ -290,7 +293,7 @@ TEST(PtaServerTest, UpdateDatasetServesFreshBytes) {
   ASSERT_TRUE(session.ok());
   ASSERT_TRUE(session->Cut(Budget::Size(16)).ok());  // index over v1 cached
 
-  // In-place swap: same bound address, new contents, generation bumped.
+  // A new owner: the index over the old data cannot answer for it.
   ASSERT_TRUE(server.UpdateDataset("seq", MakeSequential(3, 7.5)).ok());
   PtaRunStats stats;
   const auto served = session->Cut(Budget::Size(16), &stats);
@@ -300,6 +303,103 @@ TEST(PtaServerTest, UpdateDatasetServesFreshBytes) {
   ASSERT_TRUE(gms.ok());
   ExpectByteIdentical(served->relation, gms->relation);
   EXPECT_EQ(served->error, gms->error);
+  PtaIndexCacheClear();
+}
+
+TEST(PtaServerTest, UpdateDatasetLeavesOnlyTheNewIndexCached) {
+  PtaIndexCacheClear();
+  PtaServer server;
+  ASSERT_TRUE(server.AddDataset("seq", MakeSequential(3)).ok());
+  auto session = server.OpenSession("seq", ItaSpec{});
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(session->Cut(Budget::Size(16)).ok());
+  ASSERT_TRUE(server.UpdateDataset("seq", MakeSequential(3, 7.5)).ok());
+  ASSERT_TRUE(session->Cut(Budget::Size(16)).ok());
+
+  // The old data's entry lapsed with its owner and went on the next miss.
+  EXPECT_EQ(PtaIndexCacheSize(), 1u);
+  auto fresh = PtaIndex::Build(MakeSequential(3, 7.5));
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(PtaIndexCacheBytes(), fresh->MemoryFootprint());
+  PtaIndexCacheClear();
+}
+
+TEST(PtaServerTest, PinFollowsTheDatasetAcrossUpdates) {
+  PtaIndexCacheClear();
+  const PtaIndexCacheConfig saved = PtaIndexCacheGetConfig();
+  ServeOptions options;
+  PtaIndexCacheConfig cache;
+  cache.max_entries = 1;
+  options.cache_config = cache;
+  PtaServer server(options);
+  ASSERT_TRUE(server.AddDataset("hot", MakeSequential(13)).ok());
+  ASSERT_TRUE(server.AddDataset("cold", MakeSequential(17)).ok());
+  ASSERT_TRUE(server.PinDataset("hot", true).ok());
+  auto hot = server.OpenSession("hot", ItaSpec{});
+  auto cold = server.OpenSession("cold", ItaSpec{});
+  ASSERT_TRUE(hot.ok());
+  ASSERT_TRUE(cold.ok());
+  ASSERT_TRUE(hot->Cut(Budget::Size(16)).ok());
+
+  ASSERT_TRUE(server.UpdateDataset("hot", MakeSequential(13, 2.0)).ok());
+  ASSERT_TRUE(hot->Cut(Budget::Size(16)).ok());  // builds the new index
+  for (const size_t c : {16, 24, 32}) {
+    // Each cut on the other dataset would evict, but the new index is
+    // pinned.
+    ASSERT_TRUE(cold->Cut(Budget::Size(c)).ok());
+  }
+  PtaRunStats stats;
+  const auto served = hot->Cut(Budget::Size(32), &stats);
+  ASSERT_TRUE(served.ok());
+  EXPECT_TRUE(stats.indexed.cache_hit);
+  auto gms = GmsReduceToSize(MakeSequential(13, 2.0), 32);
+  ASSERT_TRUE(gms.ok());
+  ExpectByteIdentical(served->relation, gms->relation);
+
+  ASSERT_TRUE(server.PinDataset("hot", false).ok());
+  PtaIndexCacheSetConfig(saved);
+  PtaIndexCacheClear();
+}
+
+// ---- warm start ----------------------------------------------------------
+
+TEST(PtaServerTest, WarmStartServesTheSavedIndexWithoutABuild) {
+  PtaIndexCacheClear();
+  PtaServer server;
+  ASSERT_TRUE(server.AddDataset("seq", MakeSequential(19)).ok());
+  const std::string path = ::testing::TempDir() + "serve_test_warm.ptaindex";
+  ASSERT_TRUE(server.SaveDataset("seq", path).ok());
+
+  const auto before = PtaIndexCacheGetStats();
+  auto warm = server.WarmStart("warm", path);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  PtaRunStats stats;
+  const auto served = warm->Cut(Budget::Size(16), &stats);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_TRUE(stats.indexed.cache_hit);
+  EXPECT_EQ(PtaIndexCacheGetStats().builds, before.builds);
+  auto gms = GmsReduceToSize(MakeSequential(19), 16);
+  ASSERT_TRUE(gms.ok());
+  ExpectByteIdentical(served->relation, gms->relation);
+  EXPECT_EQ(served->error, gms->error);
+  std::remove(path.c_str());
+  PtaIndexCacheClear();
+}
+
+TEST(PtaServerTest, WarmStartOnATakenNameFailsAndSeedsNothing) {
+  PtaIndexCacheClear();
+  PtaServer server;
+  ASSERT_TRUE(server.AddDataset("seq", MakeSequential(23)).ok());
+  const std::string path = ::testing::TempDir() + "serve_test_taken.ptaindex";
+  ASSERT_TRUE(server.SaveDataset("seq", path).ok());
+  const size_t entries = PtaIndexCacheSize();
+
+  auto warm = server.WarmStart("seq", path);
+  ASSERT_FALSE(warm.ok());
+  EXPECT_EQ(warm.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(PtaIndexCacheSize(), entries);
+  EXPECT_EQ(server.stats().datasets, 1u);
+  std::remove(path.c_str());
   PtaIndexCacheClear();
 }
 
