@@ -13,7 +13,7 @@
 //     dataset generations;
 //   * exactly ONE index build per fingerprint per generation: the first
 //     request builds, every other session coalesces or hits the cache,
-//     and an UpdateDataset (generation bump) costs exactly one rebuild;
+//     and an UpdateDataset (a new owner) costs exactly one rebuild;
 //   * the p50 served-cut latency beats one full greedy recompute — the
 //     cache must make re-budgeting cheaper than the status quo even with
 //     every worker hammering it at once;
