@@ -17,9 +17,10 @@
 //   * the p50 served-cut latency beats one full greedy recompute — the
 //     cache must make re-budgeting cheaper than the status quo even with
 //     every worker hammering it at once;
-//   * an UpdateDataset queued while every worker cuts back to back gets
-//     in about as fast as an uncontended one (bound and slack below): the
-//     dataset lock prefers writers, so readers cannot starve them.
+//   * an UpdateDataset issued while every worker cuts back to back returns
+//     about as fast as an uncontended one (bound and slack below): it swaps
+//     in a new snapshot at once and waits only for the cuts that started
+//     on the old data, so readers cannot starve it.
 //
 // Usage: bench_serve_concurrent [--quick]   (also honors PTA_BENCH_SCALE)
 
@@ -45,10 +46,10 @@ using namespace pta;
 
 // Updates timed per phase; each phase reports its median. The loaded
 // median must stay within kLoadedUpdateBound times the uncontended one plus
-// kUpdateSlackSeconds. The slack covers the cuts already running when the
-// writer queues and the wake-ups of 8+ threads on a shared host, so the
-// gate separates a writer that gets in from a starved one, not fast from
-// slow. On a 4-vCPU VM whose host took 40% of its CPU time, loaded medians
+// kUpdateSlackSeconds. The slack covers the cuts already running on the
+// old data when the update swaps, and the wake-ups of 8+ threads on a
+// shared host, so the gate separates an update that gets through from a
+// starved one, not fast from slow. On a 4-vCPU VM whose host took 40% of its CPU time, loaded medians
 // measured 0.2 ms-0.25 s at --quick and 4-52 ms at the default scale, with
 // uncontended updates of 2-14 us; a reader-preferring lock did not let one
 // update in within 120 s.
@@ -181,9 +182,9 @@ int main(int argc, char** argv) {
   // The same UpdateDataset, timed first with no reader and then while
   // every worker cuts back to back. Each update is followed by one cut
   // that waits out the rebuild, so no sample queues behind an index build.
-  // A writer-preferring dataset lock lets the loaded update in after the
-  // cuts already running; a reader-preferring one waits for a gap in the
-  // stream of cuts.
+  // The update publishes its snapshot at once and then waits only for the
+  // cuts already running on the old data; a reader-preferring lock would
+  // wait for a gap in the stream of cuts.
   const auto time_updates = [&](size_t generation) {
     std::vector<double> seconds;
     for (int r = 0; r < kUpdateReps; ++r) {

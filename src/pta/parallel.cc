@@ -11,88 +11,83 @@ namespace pta {
 
 namespace {
 
-// Per-shard Êmax weights for the budget allocator, computed on the pool.
-// Deterministic: shard s samples with seed base_seed + s regardless of
-// which thread runs it.
-Result<std::vector<double>> EstimateShardErrors(
-    const ShardedSegmentSource& shards, const ParallelReduceOptions& options,
-    ThreadPool& pool) {
-  const size_t num_shards = shards.num_shards();
-  std::vector<double> emax(num_shards, 0.0);
-  std::vector<Status> statuses(num_shards, Status::Ok());
-  pool.ParallelFor(num_shards, [&](size_t s) {
+// Per-shard maximal errors (the budget allocator's weights), on the pool.
+std::vector<double> ShardMaxErrors(const ShardedSegmentSource& shards,
+                                   const GreedyOptions& greedy,
+                                   ThreadPool& pool) {
+  std::vector<double> emax(shards.num_shards(), 0.0);
+  pool.ParallelFor(shards.num_shards(), [&](size_t s) {
     const SequentialRelation& shard = shards.shard(s);
     if (shard.empty()) return;
-    auto est = EstimateMaxErrorBySampling(
-        shard, options.greedy.weights, options.budget_sample_fraction,
-        options.budget_sample_seed + s, options.greedy.merge_across_gaps);
-    if (est.ok()) {
-      emax[s] = *est;
+    const ErrorContext ctx(shard, greedy.weights, greedy.merge_across_gaps);
+    emax[s] = ctx.MaxError();
+  });
+  return emax;
+}
+
+// The driver both sharded reducers share. On a pool sized to the shards,
+// `weigh(pool)` sets up the per-shard budgets (timed as the estimate
+// phase), then `reduce(s, shard, stats)` runs on every non-empty shard and
+// the results are gathered in global group order. The lowest failing
+// shard's status wins.
+template <typename Weigh, typename Reduce>
+Result<Reduction> ReduceShards(const ShardedSegmentSource& shards,
+                               const ParallelReduceOptions& options,
+                               ParallelStats* stats, Weigh weigh,
+                               Reduce reduce) {
+  const size_t num_shards = shards.num_shards();
+  const size_t requested = options.num_threads == 0
+                               ? ThreadPool::DefaultThreadCount()
+                               : options.num_threads;
+  // More threads than shards would only idle.
+  ThreadPool pool(std::max<size_t>(1, std::min(requested, num_shards)));
+  if (stats != nullptr) {
+    *stats = ParallelStats{};
+    stats->num_shards = num_shards;
+    stats->threads_used = pool.num_threads();
+    stats->total_segments = shards.total_size();
+    for (size_t s = 0; s < num_shards; ++s) {
+      stats->shard_sizes.push_back(shards.shard(s).size());
+    }
+  }
+  Stopwatch watch;
+  PTA_RETURN_IF_ERROR(weigh(pool));
+  if (stats != nullptr) stats->estimate_seconds = watch.ElapsedSeconds();
+
+  watch.Restart();
+  std::vector<Reduction> results(num_shards);
+  std::vector<Status> statuses(num_shards, Status::Ok());
+  std::vector<GreedyStats> gstats(num_shards);
+  pool.ParallelFor(num_shards, [&](size_t s) {
+    const SequentialRelation& shard = shards.shard(s);
+    results[s].relation = SequentialRelation(shards.num_aggregates());
+    if (shard.empty()) return;
+    auto reduced = reduce(s, shard, &gstats[s]);
+    if (reduced.ok()) {
+      results[s] = std::move(*reduced);
     } else {
-      statuses[s] = est.status();
+      statuses[s] = reduced.status();
     }
   });
   for (const Status& st : statuses) {
     if (!st.ok()) return st;
   }
-  return emax;
-}
+  if (stats != nullptr) stats->reduce_seconds = watch.ElapsedSeconds();
 
-// Concatenates the per-shard reductions back into one sequential relation
-// in global (dense group id) order. Each group lives in exactly one shard
-// and each shard's output is group-sorted, so a cursor per shard suffices.
-SequentialRelation GatherShards(const ShardedSegmentSource& shards,
-                                const std::vector<Reduction>& results) {
-  SequentialRelation out(shards.num_aggregates());
-  size_t total = 0;
-  for (const Reduction& r : results) total += r.relation.size();
-  out.Reserve(total);
-
-  std::vector<size_t> cursor(results.size(), 0);
-  const std::vector<uint32_t>& shard_of = shards.shard_of();
-  for (size_t g = 0; g < shards.num_groups(); ++g) {
-    const size_t s = shard_of[g];
-    const SequentialRelation& rel = results[s].relation;
-    size_t& pos = cursor[s];
-    while (pos < rel.size() &&
-           rel.group(pos) == static_cast<int32_t>(g)) {
-      out.Append(rel.group(pos), rel.interval(pos), rel.values(pos));
-      ++pos;
-    }
+  watch.Restart();
+  Reduction out;
+  std::vector<SequentialRelation> parts(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    out.error += results[s].error;
+    parts[s] = std::move(results[s].relation);
+  }
+  out.relation = GatherGroupMajor(shards.num_aggregates(), parts);
+  if (stats != nullptr) {
+    stats->merge_seconds = watch.ElapsedSeconds();
+    stats->shard_greedy = std::move(gstats);
+    for (const Reduction& r : results) stats->shard_errors.push_back(r.error);
   }
   return out;
-}
-
-void InitStats(const ShardedSegmentSource& shards, const ThreadPool& pool,
-               ParallelStats* stats) {
-  if (stats == nullptr) return;
-  *stats = ParallelStats{};
-  stats->num_shards = shards.num_shards();
-  stats->threads_used = pool.num_threads();
-  stats->total_segments = shards.total_size();
-  stats->shard_sizes.resize(shards.num_shards());
-  for (size_t s = 0; s < shards.num_shards(); ++s) {
-    stats->shard_sizes[s] = shards.shard(s).size();
-  }
-}
-
-// Checked up front (not just when the estimation pass runs) so the error
-// contract does not depend on the shard count or budget.
-Status ValidateSampleFraction(const ParallelReduceOptions& options) {
-  if (options.budget_sample_fraction <= 0.0 ||
-      options.budget_sample_fraction > 1.0) {
-    return Status::InvalidArgument("budget_sample_fraction must be in (0, 1]");
-  }
-  return Status::Ok();
-}
-
-size_t PoolThreads(const ShardedSegmentSource& shards,
-                   const ParallelReduceOptions& options) {
-  const size_t requested = options.num_threads == 0
-                               ? ThreadPool::DefaultThreadCount()
-                               : options.num_threads;
-  // More threads than shards would only idle.
-  return std::max<size_t>(1, std::min(requested, shards.num_shards()));
 }
 
 }  // namespace
@@ -224,6 +219,36 @@ Result<std::vector<size_t>> AllocateSizeBudgets(
   return budgets;
 }
 
+SequentialRelation GatherGroupMajor(
+    size_t num_aggregates, const std::vector<SequentialRelation>& parts) {
+  SequentialRelation out(num_aggregates);
+  size_t total = 0;
+  for (const SequentialRelation& part : parts) total += part.size();
+  out.Reserve(total);
+  // Repeatedly copy the whole run of the smallest current group id.
+  std::vector<size_t> cursor(parts.size(), 0);
+  while (true) {
+    size_t best = parts.size();
+    int32_t best_group = 0;
+    for (size_t s = 0; s < parts.size(); ++s) {
+      if (cursor[s] >= parts[s].size()) continue;
+      const int32_t group = parts[s].group(cursor[s]);
+      if (best == parts.size() || group < best_group) {
+        best = s;
+        best_group = group;
+      }
+    }
+    if (best == parts.size()) break;
+    const SequentialRelation& part = parts[best];
+    size_t& pos = cursor[best];
+    while (pos < part.size() && part.group(pos) == best_group) {
+      out.Append(part.group(pos), part.interval(pos), part.values(pos));
+      ++pos;
+    }
+  }
+  return out;
+}
+
 Result<Reduction> ParallelReduceToSize(const ShardedSegmentSource& shards,
                                        size_t c,
                                        const ParallelReduceOptions& options,
@@ -231,69 +256,37 @@ Result<Reduction> ParallelReduceToSize(const ShardedSegmentSource& shards,
   if (c == 0) {
     return Status::InvalidArgument("size bound c must be positive");
   }
-  PTA_RETURN_IF_ERROR(ValidateSampleFraction(options));
   const size_t num_shards = shards.num_shards();
-  ThreadPool pool(PoolThreads(shards, options));
-  InitStats(shards, pool, stats);
-  Stopwatch watch;
-
-  // The error weights only matter when there is an actual split to make:
-  // with one shard (it gets the whole budget) or c at/above the input size
-  // (nothing merges) the allocator never consults them, so skip the
-  // estimation pass and its full MaxError computation.
-  Result<std::vector<double>> emax = std::vector<double>(num_shards, 0.0);
-  if (num_shards > 1 && c < shards.total_size()) {
-    emax = EstimateShardErrors(shards, options, pool);
-    if (!emax.ok()) return emax.status();
-  }
-  std::vector<size_t> sizes(num_shards), cmins(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    sizes[s] = shards.shard(s).size();
-    cmins[s] = shards.shard(s).CMin();
-  }
-  auto budgets = AllocateSizeBudgets(sizes, cmins, *emax, c);
-  if (!budgets.ok()) return budgets.status();
-  if (stats != nullptr) {
-    stats->estimate_seconds = watch.ElapsedSeconds();
-    stats->shard_max_errors = *emax;
-    stats->shard_budgets = *budgets;
-  }
-
-  watch.Restart();
-  std::vector<Reduction> results(num_shards);
-  std::vector<Status> statuses(num_shards, Status::Ok());
-  std::vector<GreedyStats> gstats(num_shards);
-  pool.ParallelFor(num_shards, [&](size_t s) {
-    const SequentialRelation& shard = shards.shard(s);
-    results[s].relation = SequentialRelation(shards.num_aggregates());
-    if (shard.empty()) return;
-    RelationSegmentSource src(shard);
-    auto reduced =
-        GreedyReduceToSize(src, (*budgets)[s], options.greedy, &gstats[s]);
-    if (reduced.ok()) {
-      results[s] = std::move(*reduced);
-    } else {
-      statuses[s] = reduced.status();
+  std::vector<size_t> budgets;
+  auto weigh = [&](ThreadPool& pool) -> Status {
+    // The error weights only matter when there is an actual split to make:
+    // with one shard (it gets the whole budget) or c at/above the input
+    // size (nothing merges) the allocator never consults them, so skip the
+    // full MaxError pass.
+    std::vector<double> emax(num_shards, 0.0);
+    if (num_shards > 1 && c < shards.total_size()) {
+      emax = ShardMaxErrors(shards, options.greedy, pool);
     }
-  });
-  for (const Status& st : statuses) {
-    if (!st.ok()) return st;
-  }
-  if (stats != nullptr) stats->reduce_seconds = watch.ElapsedSeconds();
-
-  watch.Restart();
-  Reduction out;
-  out.relation = GatherShards(shards, results);
-  for (size_t s = 0; s < num_shards; ++s) out.error += results[s].error;
-  if (stats != nullptr) {
-    stats->merge_seconds = watch.ElapsedSeconds();
-    stats->shard_greedy = std::move(gstats);
-    stats->shard_errors.resize(num_shards);
+    std::vector<size_t> sizes(num_shards), cmins(num_shards);
     for (size_t s = 0; s < num_shards; ++s) {
-      stats->shard_errors[s] = results[s].error;
+      sizes[s] = shards.shard(s).size();
+      cmins[s] = shards.shard(s).CMin();
     }
-  }
-  return out;
+    auto allocated = AllocateSizeBudgets(sizes, cmins, emax, c);
+    if (!allocated.ok()) return allocated.status();
+    budgets = std::move(*allocated);
+    if (stats != nullptr) {
+      stats->shard_max_errors = std::move(emax);
+      stats->shard_budgets = budgets;
+    }
+    return Status::Ok();
+  };
+  auto reduce = [&](size_t s, const SequentialRelation& shard,
+                    GreedyStats* greedy_stats) {
+    RelationSegmentSource src(shard);
+    return GreedyReduceToSize(src, budgets[s], options.greedy, greedy_stats);
+  };
+  return ReduceShards(shards, options, stats, weigh, reduce);
 }
 
 Result<Reduction> ParallelReduceToError(const ShardedSegmentSource& shards,
@@ -303,58 +296,23 @@ Result<Reduction> ParallelReduceToError(const ShardedSegmentSource& shards,
   if (eps < 0.0 || eps > 1.0) {
     return Status::InvalidArgument("error bound eps must be in [0, 1]");
   }
-  PTA_RETURN_IF_ERROR(ValidateSampleFraction(options));
-  const size_t num_shards = shards.num_shards();
-  ThreadPool pool(PoolThreads(shards, options));
-  InitStats(shards, pool, stats);
-  Stopwatch watch;
-
-  auto emax = EstimateShardErrors(shards, options, pool);
-  if (!emax.ok()) return emax.status();
-  if (stats != nullptr) {
-    stats->estimate_seconds = watch.ElapsedSeconds();
-    stats->shard_max_errors = *emax;
-  }
-
-  watch.Restart();
-  std::vector<Reduction> results(num_shards);
-  std::vector<Status> statuses(num_shards, Status::Ok());
-  std::vector<GreedyStats> gstats(num_shards);
-  pool.ParallelFor(num_shards, [&](size_t s) {
-    const SequentialRelation& shard = shards.shard(s);
-    results[s].relation = SequentialRelation(shards.num_aggregates());
-    if (shard.empty()) return;
+  std::vector<double> emax;
+  auto weigh = [&](ThreadPool& pool) -> Status {
+    emax = ShardMaxErrors(shards, options.greedy, pool);
+    if (stats != nullptr) stats->shard_max_errors = emax;
+    return Status::Ok();
+  };
+  auto reduce = [&](size_t s, const SequentialRelation& shard,
+                    GreedyStats* greedy_stats) {
     // The global absolute budget eps * Emax splits proportionally to the
     // per-shard maximal errors, which is exactly "the global eps against
-    // each shard's own Êmax"; n̂_s is the shard size (known exactly here).
-    GreedyErrorEstimates estimates{(*emax)[s], shard.size()};
+    // each shard's own Emax"; n̂_s is the shard size (known exactly here).
+    GreedyErrorEstimates estimates{emax[s], shard.size()};
     RelationSegmentSource src(shard);
-    auto reduced = GreedyReduceToError(src, eps, estimates, options.greedy,
-                                       &gstats[s]);
-    if (reduced.ok()) {
-      results[s] = std::move(*reduced);
-    } else {
-      statuses[s] = reduced.status();
-    }
-  });
-  for (const Status& st : statuses) {
-    if (!st.ok()) return st;
-  }
-  if (stats != nullptr) stats->reduce_seconds = watch.ElapsedSeconds();
-
-  watch.Restart();
-  Reduction out;
-  out.relation = GatherShards(shards, results);
-  for (size_t s = 0; s < num_shards; ++s) out.error += results[s].error;
-  if (stats != nullptr) {
-    stats->merge_seconds = watch.ElapsedSeconds();
-    stats->shard_greedy = std::move(gstats);
-    stats->shard_errors.resize(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      stats->shard_errors[s] = results[s].error;
-    }
-  }
-  return out;
+    return GreedyReduceToError(src, eps, estimates, options.greedy,
+                               greedy_stats);
+  };
+  return ReduceShards(shards, options, stats, weigh, reduce);
 }
 
 }  // namespace pta

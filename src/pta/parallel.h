@@ -19,7 +19,7 @@
 //
 // For size-bounded reduction the global budget c must be split across
 // shards; AllocateSizeBudgets gives every shard its cmin and distributes
-// the remainder proportionally to per-shard (estimated) maximal error, so
+// the remainder proportionally to per-shard maximal error, so
 // shards whose data is expensive to merge keep more tuples — tracking what
 // single-threaded gPTAc would have done globally. With one shard the split
 // is the identity and the engine's output is byte-identical to
@@ -49,9 +49,10 @@ namespace pta {
 /// For a fixed num_shards the output is a pure function of the input —
 /// num_threads only changes the wall clock — and with num_shards = 1, a
 /// size-bounded kParallel query is byte-identical to the same query under
-/// Engine::kGreedy. (An error-bounded kParallel query estimates Êmax per
-/// shard from the ITA segments, not from the base relation like kGreedy,
-/// so its one-shard output matches that policy, not kGreedy's.)
+/// Engine::kGreedy. (An error-bounded kParallel query computes each
+/// shard's exact Emax from its ITA segments, where kGreedy estimates Êmax
+/// from a sample of the base relation, so its one-shard output matches
+/// that policy, not kGreedy's.)
 struct ParallelOptions {
   /// Worker threads; 0 means all hardware threads.
   size_t num_threads = 0;
@@ -67,11 +68,6 @@ struct ParallelOptions {
   /// (Ignored by the streaming composition, which shards by dense group
   /// id — see stream/sharded_stream.h.)
   std::vector<std::string> shard_by;
-  /// Fraction of each shard's segments sampled for its Êmax budget weight;
-  /// 1.0 computes the exact per-shard maximal error.
-  double budget_sample_fraction = 1.0;
-  /// Base seed of the deterministic budget sampler.
-  uint64_t budget_sample_seed = 42;
 };
 
 /// \brief Execution knobs of the sharded engine.
@@ -81,11 +77,6 @@ struct ParallelReduceOptions {
   size_t num_threads = 0;
   /// Per-shard greedy knobs (weights, delta, gap merging).
   GreedyOptions greedy;
-  /// Fraction of each shard's segments sampled for its Êmax budget weight;
-  /// 1.0 computes the exact per-shard maximal error.
-  double budget_sample_fraction = 1.0;
-  /// Base seed of the deterministic budget sampler (shard s uses seed + s).
-  uint64_t budget_sample_seed = 42;
 };
 
 /// \brief Observability of one parallel reduction.
@@ -98,7 +89,7 @@ struct ParallelStats {
   double reduce_seconds = 0.0;
   double merge_seconds = 0.0;
   /// Per-shard input sizes, allocated size budgets (size-bounded only),
-  /// Êmax budget weights, introduced SSE, and greedy counters.
+  /// Emax budget weights, introduced SSE, and greedy counters.
   std::vector<size_t> shard_sizes;
   std::vector<size_t> shard_budgets;
   std::vector<double> shard_max_errors;
@@ -130,6 +121,12 @@ struct ParallelStats {
     const std::vector<size_t>& shard_cmins,
     const std::vector<double>& shard_errors, size_t c);
 
+/// Concatenates group-major parts whose group sets are disjoint into one
+/// group-major relation in ascending group id order: how both the batch and
+/// the streaming sharded engines gather their shards' results.
+SequentialRelation GatherGroupMajor(
+    size_t num_aggregates, const std::vector<SequentialRelation>& parts);
+
 /// Sharded gPTAc: reduces every shard with GreedyReduceToSize under its
 /// allocated slice of c and concatenates the results in global group order.
 /// Deterministic given the shard map; independent of num_threads.
@@ -138,8 +135,8 @@ struct ParallelStats {
     const ParallelReduceOptions& options = {}, ParallelStats* stats = nullptr);
 
 /// Sharded gPTAε: each shard runs GreedyReduceToError with the global eps
-/// against its own (estimated) maximal error — i.e. the absolute error
-/// budget eps·Êmax is split across shards proportionally to Êmax_s.
+/// against its own exact maximal error — i.e. the absolute error budget
+/// eps·Emax is split across shards proportionally to Emax_s.
 /// Deterministic given the shard map; independent of num_threads.
 [[nodiscard]] Result<Reduction> ParallelReduceToError(
     const ShardedSegmentSource& shards, double eps,

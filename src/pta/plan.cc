@@ -391,6 +391,13 @@ void IndexCacheInsert(const PtaPlan& plan,
   InsertLocked(state, IndexKey::Of(plan), std::move(index));
 }
 
+void IndexCacheDropExpired() {
+  IndexCacheState& state = CacheState();
+  std::vector<CacheEntry> expired;  // released after the lock
+  MutexLock lock(&state.mu);
+  expired = TakeExpiredLocked(state);
+}
+
 void SetIndexCacheBuildHook(std::function<void(uint64_t)> hook) {
   IndexCacheState& state = CacheState();
   MutexLock lock(&state.mu);
@@ -623,8 +630,6 @@ Result<PtaResult> ExecParallel(const PtaPlan& plan, ParallelStats* stats) {
   ParallelReduceOptions reduce;
   reduce.num_threads = plan.parallel.num_threads;
   reduce.greedy = static_cast<const GreedyOptions&>(plan.greedy);
-  reduce.budget_sample_fraction = plan.parallel.budget_sample_fraction;
-  reduce.budget_sample_seed = plan.parallel.budget_sample_seed;
   auto reduced =
       plan.budget.is_size()
           ? ParallelReduceToSize(*shards, plan.budget.size(), reduce, stats)

@@ -107,8 +107,7 @@ class Budget {
 /// plus the knobs of gPTAε's n̂ / Êmax estimation (Sec. 6.3).
 ///
 /// The estimation knobs are ignored by size-bounded runs and by the
-/// parallel engine, which estimates per shard instead — see
-/// ParallelOptions::budget_sample_fraction.
+/// parallel engine, which computes each shard's exact Emax instead.
 struct GreedyPtaOptions : GreedyOptions {
   /// Êmax override; negative means "estimate by sampling the input".
   double estimated_max_error = -1.0;
@@ -277,7 +276,7 @@ namespace internal {
 // owner, so an input allocated after another was freed never matches the
 // old entry, even at the same address — plus the bound address and
 // PlanFingerprint. Entries whose owner has expired are dropped on the next
-// miss, before its build starts.
+// miss, before its build starts, or by IndexCacheDropExpired.
 /// Inserts a built index for an owned plan's input (LRU-evicting beyond
 /// the configured budgets). A plan without an owner is not cached.
 void IndexCacheInsert(const PtaPlan& plan,
@@ -291,6 +290,10 @@ void IndexCacheInsert(const PtaPlan& plan,
 /// (optional) reports cache_hit / coalesced / build_seconds.
 [[nodiscard]] Result<std::shared_ptr<const PtaIndex>> IndexCacheGetOrBuild(
     const PtaPlan& plan, PtaIndexRunStats* stats);
+/// Drops the entries and pins whose owner has expired and frees them
+/// outside the cache lock. The serving layer calls it after freeing the data
+/// an update replaced, so the lapsed index does not wait for the next miss.
+void IndexCacheDropExpired();
 /// Test hook, invoked once per actual index construction with the build's
 /// fingerprint (before the build starts, outside the cache lock). Pass
 /// nullptr to reset. Not for production use: set it only while no builds

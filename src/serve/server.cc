@@ -1,5 +1,7 @@
 #include "serve/server.h"
 
+#include <chrono>
+#include <thread>
 #include <utility>
 
 #include "pta/index.h"
@@ -26,12 +28,25 @@ const std::string& PtaSession::dataset() const {
 }
 
 PtaQuery PtaSession::MakeQuery() const {
-  PtaQuery query = dataset_->relation != nullptr
-                       ? PtaQuery::Over(dataset_->relation)
-                       : PtaQuery::OverSequential(dataset_->sequential);
+  std::shared_ptr<const TemporalRelation> relation;
+  std::shared_ptr<const SequentialRelation> sequential;
+  {
+    MutexLock lock(&dataset_->mu);
+    relation = dataset_->relation;
+    sequential = dataset_->sequential;
+  }
+  PtaQuery query = relation != nullptr
+                       ? PtaQuery::Over(std::move(relation))
+                       : PtaQuery::OverSequential(std::move(sequential));
   query.Spec(spec_).Engine(Engine::kIndexed);
   if (!weights_.empty()) query.Weights(weights_);
   return query;
+}
+
+Result<PtaPlan> PtaSession::IndexPlan() const {
+  // The budget is a placeholder that only shapes validation: fingerprints
+  // are budget-stripped, so it does not fragment the cache either.
+  return MakeQuery().Budget(Budget::Size(1)).Plan();
 }
 
 Result<PtaResult> PtaSession::Cut(Budget budget, PtaRunStats* stats) const {
@@ -39,7 +54,6 @@ Result<PtaResult> PtaSession::Cut(Budget budget, PtaRunStats* stats) const {
     return Status::FailedPrecondition(
         "empty session; obtain sessions from PtaServer::OpenSession");
   }
-  ReaderMutexLock lock(&dataset_->mu);
   return MakeQuery().WithBudget(budget).Run(stats);
 }
 
@@ -58,11 +72,9 @@ Result<std::vector<Reduction>> PtaSession::ZoomLadder(
     return Status::FailedPrecondition(
         "empty session; obtain sessions from PtaServer::OpenSession");
   }
-  ReaderMutexLock lock(&dataset_->mu);
-  // The ladder carries its own sizes; the plan's budget is a placeholder
-  // that only shapes validation, never a cut (fingerprints are
-  // budget-stripped, so it does not fragment the cache either).
-  auto plan = MakeQuery().Budget(Budget::Size(1)).Plan();
+  // The plan holds the snapshot until the index is released, so an update
+  // waits for this request like for a cut, and frees the index itself.
+  auto plan = IndexPlan();
   if (!plan.ok()) return plan.status();
   auto index = internal::IndexCacheGetOrBuild(*plan, nullptr);
   if (!index.ok()) return index.status();
@@ -75,8 +87,7 @@ Result<advisor::Advice> PtaSession::Advise(
     return Status::FailedPrecondition(
         "empty session; obtain sessions from PtaServer::OpenSession");
   }
-  ReaderMutexLock lock(&dataset_->mu);
-  auto plan = MakeQuery().Budget(Budget::Size(1)).Plan();
+  auto plan = IndexPlan();  // held to the end, as in ZoomLadder
   if (!plan.ok()) return plan.status();
   auto index = internal::IndexCacheGetOrBuild(*plan, nullptr);
   if (!index.ok()) return index.status();
@@ -114,6 +125,19 @@ void CarryPin(const Dataset& dataset, const std::shared_ptr<const void>& old)
   PtaIndexCachePin(dataset.owner(), true);
 }
 
+// Frees the data an update replaced on the updating thread, once no request
+// still runs on it: requests that copied the old data before the swap hold
+// it until they finish, and this thread's reference keeps any of them from
+// dropping the last one (and paying the free inside its cut). The cache
+// entries that lapse with the data are freed here too.
+void Retire(std::shared_ptr<const void> old) {
+  while (old.use_count() > 1) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  old.reset();
+  internal::IndexCacheDropExpired();
+}
+
 }  // namespace
 
 Status PtaServer::Register(std::shared_ptr<Dataset> dataset) {
@@ -140,18 +164,18 @@ Status PtaServer::UpdateDataset(const std::string& name,
                                 TemporalRelation data) {
   auto dataset = Find(name);
   if (dataset == nullptr) return Status::NotFound("unknown dataset: " + name);
-  // Declared before the lock, so the old data it receives is freed after
-  // the lock is released: readers queued behind this writer do not also
-  // wait for the free (tens of ms on large relations).
   auto next = std::make_shared<const TemporalRelation>(std::move(data));
-  WriterMutexLock lock(&dataset->mu);
-  if (dataset->relation == nullptr) {
-    return Status::InvalidArgument(
-        "dataset is sequential; update it with a SequentialRelation");
+  {
+    MutexLock lock(&dataset->mu);
+    if (dataset->relation == nullptr) {
+      return Status::InvalidArgument(
+          "dataset is sequential; update it with a SequentialRelation");
+    }
+    // A new owner: the indexes of the old data lapse with it.
+    dataset->relation.swap(next);
+    CarryPin(*dataset, next);
   }
-  // A new owner: the indexes of the old data lapse with it.
-  dataset->relation.swap(next);
-  CarryPin(*dataset, next);
+  Retire(std::move(next));
   return Status::Ok();
 }
 
@@ -160,13 +184,16 @@ Status PtaServer::UpdateDataset(const std::string& name,
   auto dataset = Find(name);
   if (dataset == nullptr) return Status::NotFound("unknown dataset: " + name);
   auto next = std::make_shared<const SequentialRelation>(std::move(data));
-  WriterMutexLock lock(&dataset->mu);  // old data freed after it, as above
-  if (dataset->sequential == nullptr) {
-    return Status::InvalidArgument(
-        "dataset is temporal; update it with a TemporalRelation");
+  {
+    MutexLock lock(&dataset->mu);
+    if (dataset->sequential == nullptr) {
+      return Status::InvalidArgument(
+          "dataset is temporal; update it with a TemporalRelation");
+    }
+    dataset->sequential.swap(next);
+    CarryPin(*dataset, next);
   }
-  dataset->sequential.swap(next);
-  CarryPin(*dataset, next);
+  Retire(std::move(next));
   return Status::Ok();
 }
 
@@ -182,7 +209,7 @@ Status PtaServer::DropDataset(const std::string& name) {
     datasets_.erase(it);
   }
   // Open sessions may still serve the data; only the pin goes.
-  WriterMutexLock lock(&dataset->mu);
+  MutexLock lock(&dataset->mu);
   if (dataset->pinned) PtaIndexCachePin(dataset->owner(), false);
   dataset->pinned = false;
   return Status::Ok();
@@ -191,7 +218,7 @@ Status PtaServer::DropDataset(const std::string& name) {
 Status PtaServer::PinDataset(const std::string& name, bool pinned) {
   auto dataset = Find(name);
   if (dataset == nullptr) return Status::NotFound("unknown dataset: " + name);
-  WriterMutexLock lock(&dataset->mu);
+  MutexLock lock(&dataset->mu);
   dataset->pinned = pinned;
   PtaIndexCachePin(dataset->owner(), pinned);
   return Status::Ok();
@@ -206,14 +233,10 @@ Result<PtaSession> PtaServer::OpenSession(const std::string& dataset,
   }
   PtaSession session(this, std::move(handle), std::move(spec),
                      std::move(weights));
-  {
-    // Validate the shape eagerly — a malformed session would otherwise
-    // fail on every request, after admission already spent queue capacity
-    // on it.
-    ReaderMutexLock lock(&session.dataset_->mu);
-    auto plan = session.MakeQuery().Budget(Budget::Size(1)).Plan();
-    if (!plan.ok()) return plan.status();
-  }
+  // Validate the shape eagerly — a malformed session would otherwise fail
+  // on every request, after admission already spent queue capacity on it.
+  auto plan = session.IndexPlan();
+  if (!plan.ok()) return plan.status();
   return session;
 }
 
@@ -224,19 +247,13 @@ Status PtaServer::SaveDataset(const std::string& name,
   if (handle == nullptr) return Status::NotFound("unknown dataset: " + name);
   PtaSession session(this, std::move(handle), std::move(spec),
                      std::move(weights));
-  std::string bytes;
-  {
-    // Build (or fetch) under the shared lock like any query, so the saved
-    // bytes can never interleave with an UpdateDataset swap; the file
-    // write happens outside it.
-    ReaderMutexLock lock(&session.dataset_->mu);
-    auto plan = session.MakeQuery().Budget(Budget::Size(1)).Plan();
-    if (!plan.ok()) return plan.status();
-    auto index = internal::IndexCacheGetOrBuild(*plan, nullptr);
-    if (!index.ok()) return index.status();
-    bytes = SerializeIndex(**index);
-  }
-  return io::WriteFile(path, bytes);
+  // The index is built (or fetched) over one snapshot, so the saved bytes
+  // describe one version of the data even when an update lands meanwhile.
+  auto plan = session.IndexPlan();
+  if (!plan.ok()) return plan.status();
+  auto index = internal::IndexCacheGetOrBuild(*plan, nullptr);
+  if (!index.ok()) return index.status();
+  return io::WriteFile(path, SerializeIndex(**index));
 }
 
 Result<PtaSession> PtaServer::WarmStart(const std::string& name,
@@ -254,8 +271,7 @@ Result<PtaSession> PtaServer::WarmStart(const std::string& name,
       this,
       std::make_shared<Dataset>(name, SequentialRelation(loaded->input())),
       ItaSpec{}, loaded->weights());
-  ReaderMutexLock lock(&session.dataset_->mu);
-  auto plan = session.MakeQuery().Budget(Budget::Size(1)).Plan();
+  auto plan = session.IndexPlan();
   if (!plan.ok()) return plan.status();
   PTA_RETURN_IF_ERROR(Register(session.dataset_));
   internal::IndexCacheInsert(

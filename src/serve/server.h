@@ -13,25 +13,23 @@
 //     internal::IndexCacheGetOrBuild); the rest block on a shared future;
 //   * datasets change → each dataset holds its data as an immutable shared
 //     input, the owner the cache keys its indexes by; UpdateDataset
-//     installs a new owner under an exclusive lock, so no index of the old
-//     data can be served for the new, and the old owner's entries lapse;
+//     publishes a new owner, so no index of the old data can be served for
+//     the new, and the old owner's entries lapse;
 //   * memory is bounded → the cache's entry/byte budgets evict cold
 //     indexes; PinDataset exempts the hot ones;
 //   * load is bounded → async requests pass an admission check against a
 //     bounded queue and are shed with Status::ResourceExhausted when the
 //     worker pool (util/thread_pool.h) is saturated.
 //
-// Threading model: PtaServer methods are thread-safe. Each dataset carries
-// a reader/writer lock — queries hold it shared, Update/Pin/Drop
-// exclusive — so cuts on one dataset run concurrently with cuts (and index
-// builds) on any dataset, and never concurrently with a mutation of their
-// own. The lock prefers writers (util/mutex.h SharedMutex): once an
-// UpdateDataset waits, cuts that arrive later queue behind it instead of
-// overtaking it, so back-to-back cuts cannot starve an update. In exchange
-// no entry point may take a dataset's lock twice: every method below
-// acquires it exactly once, and a nested shared acquisition would deadlock
-// behind a waiting writer. UpdateDataset frees the replaced data after
-// releasing the lock.
+// Threading model: PtaServer methods are thread-safe. Every request copies
+// its dataset's current data pointer (a snapshot) under a mutex held only
+// for that copy, then plans, builds and cuts with no dataset lock held. A
+// request that started before an UpdateDataset finishes on the old data and
+// its index; one that starts after it sees the new data. Requests never
+// wait for an update, and an update never waits for requests that start
+// after its swap. UpdateDataset returns once every request still running on
+// the replaced data has finished, and frees that data and its lapsed index
+// on its own thread, never inside a reader's cut.
 // PtaSession is an immutable handle; one session may be used from many
 // threads at once, and sessions keep their dataset alive (shared
 // ownership) even across DropDataset. Sessions must not outlive the
@@ -138,11 +136,9 @@ class PtaSession {
 
   /// Runs the granularity advisor (advisor/advisor.h) against the
   /// session's shared index: builds — or fetches — the cached PtaIndex
-  /// under the dataset's shared lock, then walks its recorded error curve.
+  /// over a snapshot of the data, then walks its recorded error curve.
   /// Like Cut, the first call per dataset version pays the build; every
-  /// further recommendation is O(k log k). Holdout criteria materialize
-  /// candidate cuts, so their callback runs under the shared lock too: it
-  /// must not call back into this dataset (see the threading model above).
+  /// further recommendation is O(k log k).
   [[nodiscard]] Result<advisor::Advice> Advise(
       const advisor::AdvisorOptions& options) const;
 
@@ -155,10 +151,13 @@ class PtaSession {
              std::shared_ptr<serve_internal::Dataset> dataset, ItaSpec spec,
              std::vector<double> weights);
 
-  /// The session's query template: input binding + spec + weights +
-  /// Engine::kIndexed. Caller must hold the dataset's lock (shared) —
-  /// machine-checked under clang via the annotation.
-  PtaQuery MakeQuery() const PTA_REQUIRES_SHARED(dataset_->mu);
+  /// The session's query template over a snapshot of the dataset's current
+  /// data: input binding + spec + weights + Engine::kIndexed. The query
+  /// holds the data shared, so it runs on that version to the end.
+  PtaQuery MakeQuery() const PTA_EXCLUDES(dataset_->mu);
+  /// The budget-free plan of the session's index over a snapshot. The
+  /// plan holds that version of the data until it is destroyed.
+  [[nodiscard]] Result<PtaPlan> IndexPlan() const PTA_EXCLUDES(dataset_->mu);
 
   PtaServer* server_ = nullptr;
   std::shared_ptr<serve_internal::Dataset> dataset_;
@@ -186,12 +185,14 @@ class PtaServer {
   /// Registers an already-aggregated sequential relation (ITA skipped).
   [[nodiscard]] Status AddDataset(std::string name, SequentialRelation data);
 
-  /// Replaces a dataset's data with a new shared input, excluding
-  /// concurrent queries for the swap's duration; indexes built over the
-  /// old data are keyed by the old owner and can never answer for the new
-  /// one. A pin moves to the new owner. The input kind must match the
+  /// Replaces a dataset's data with a new shared input; indexes built over
+  /// the old data are keyed by the old owner and can never answer for the
+  /// new one. A pin moves to the new owner. The input kind must match the
   /// registration (temporal/sequential). Open sessions keep working and
-  /// rebuild the index on their next request.
+  /// rebuild the index on their next request. Returns once every request
+  /// that started on the old data has finished, after freeing that data
+  /// and its lapsed cache entries, so it must not be called from inside a
+  /// request on the same dataset (an Advise holdout callback).
   [[nodiscard]] Status UpdateDataset(const std::string& name,
                                      TemporalRelation data);
   [[nodiscard]] Status UpdateDataset(const std::string& name,
@@ -217,8 +218,8 @@ class PtaServer {
 
   /// Persists the dataset's index for the given query shape (the same
   /// spec/weights a session would carry) to `path` via pta/index_io.h:
-  /// builds the index — or reuses the cached one — under the dataset's
-  /// shared lock, then writes the serialized bytes. NotFound for an
+  /// builds the index — or reuses the cached one — over a snapshot of the
+  /// data, then writes the serialized bytes. NotFound for an
   /// unknown dataset, IoError when the file cannot be written.
   [[nodiscard]] Status SaveDataset(const std::string& name,
                                    const std::string& path, ItaSpec spec = {},

@@ -104,43 +104,12 @@ Status ShardedStreamingEngine::AdvanceWatermark(Chronon watermark) {
   return Status::Ok();
 }
 
-SequentialRelation ShardedStreamingEngine::Gather(
-    std::vector<SequentialRelation> parts) const {
-  SequentialRelation out(p_);
-  size_t total = 0;
-  for (const SequentialRelation& part : parts) total += part.size();
-  out.Reserve(total);
-  // Each part is group-major and the group sets are disjoint: repeatedly
-  // copy the whole run of the globally smallest current group id.
-  std::vector<size_t> cursor(parts.size(), 0);
-  while (true) {
-    size_t best = parts.size();
-    int32_t best_group = 0;
-    for (size_t s = 0; s < parts.size(); ++s) {
-      if (cursor[s] >= parts[s].size()) continue;
-      const int32_t group = parts[s].group(cursor[s]);
-      if (best == parts.size() || group < best_group) {
-        best = s;
-        best_group = group;
-      }
-    }
-    if (best == parts.size()) break;
-    const SequentialRelation& part = parts[best];
-    size_t& pos = cursor[best];
-    while (pos < part.size() && part.group(pos) == best_group) {
-      out.Append(part.group(pos), part.interval(pos), part.values(pos));
-      ++pos;
-    }
-  }
-  return out;
-}
-
 SequentialRelation ShardedStreamingEngine::TakeEmitted() {
   std::vector<SequentialRelation> parts(engines_.size());
   pool_->ParallelFor(engines_.size(), [&](size_t s) {
     parts[s] = engines_[s]->TakeEmitted();
   });
-  return Gather(std::move(parts));
+  return GatherGroupMajor(p_, parts);
 }
 
 SequentialRelation ShardedStreamingEngine::Snapshot() const {
@@ -148,7 +117,7 @@ SequentialRelation ShardedStreamingEngine::Snapshot() const {
   pool_->ParallelFor(engines_.size(), [&](size_t s) {
     parts[s] = engines_[s]->Snapshot();
   });
-  return Gather(std::move(parts));
+  return GatherGroupMajor(p_, parts);
 }
 
 Result<SequentialRelation> ShardedStreamingEngine::Finalize() {
@@ -163,7 +132,7 @@ Result<SequentialRelation> ShardedStreamingEngine::Finalize() {
     if (!result.ok()) return result.status();
     parts.push_back(std::move(*result));
   }
-  return Gather(std::move(parts));
+  return GatherGroupMajor(p_, parts);
 }
 
 size_t ShardedStreamingEngine::live_rows() const {

@@ -55,9 +55,9 @@ class ShardedStreamingEngine {
  public:
   /// `parallel.num_shards` = 0 derives the shard count from the resolved
   /// thread count (pin it for cross-machine reproducibility);
-  /// `parallel.shard_by` and the budget-sampling knobs are batch-only and
-  /// ignored here. `options.size_budget` is the *global* live-row budget,
-  /// split evenly across shards (every shard gets at least 1).
+  /// `parallel.shard_by` is batch-only and ignored here.
+  /// `options.size_budget` is the *global* live-row budget, split evenly
+  /// across shards (every shard gets at least 1).
   /// `shard_of` optionally pins dense group ids to shards, composing with
   /// core/ita.h's GroupShardMap: group id g < shard_of.size() routes to
   /// shard_of[g] (must be < num_shards), ids beyond the map fall back to
@@ -101,9 +101,6 @@ class ShardedStreamingEngine {
 
  private:
   uint32_t ShardOf(int32_t group) const;
-  /// k-way concatenation of group-major per-shard relations into one
-  /// group-major relation (each group lives in exactly one shard).
-  SequentialRelation Gather(std::vector<SequentialRelation> parts) const;
 
   size_t p_;
   std::vector<uint32_t> shard_of_;

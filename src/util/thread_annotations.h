@@ -11,7 +11,7 @@
 //
 // Use the annotated wrapper types in util/mutex.h — std::mutex itself
 // carries no capability attributes under libstdc++, so the analysis only
-// fires on pta::Mutex / pta::SharedMutex and their scoped locks.
+// fires on pta::Mutex and its scoped lock.
 
 #ifndef PTA_UTIL_THREAD_ANNOTATIONS_H_
 #define PTA_UTIL_THREAD_ANNOTATIONS_H_
@@ -22,7 +22,7 @@
 #define PTA_THREAD_ANNOTATION_ATTRIBUTE(x)  // no-op off clang
 #endif
 
-/// Marks a class as a lockable capability ("mutex", "shared_mutex", ...).
+/// Marks a class as a lockable capability ("mutex", ...).
 #define PTA_CAPABILITY(x) PTA_THREAD_ANNOTATION_ATTRIBUTE(capability(x))
 
 /// Marks an RAII class whose constructor acquires and destructor releases.
@@ -38,30 +38,13 @@
 #define PTA_REQUIRES(...) \
   PTA_THREAD_ANNOTATION_ATTRIBUTE(requires_capability(__VA_ARGS__))
 
-/// Function requires the capability held at least shared on entry.
-#define PTA_REQUIRES_SHARED(...) \
-  PTA_THREAD_ANNOTATION_ATTRIBUTE(requires_shared_capability(__VA_ARGS__))
-
 /// Function acquires the capability exclusively (and did not hold it).
 #define PTA_ACQUIRE(...) \
   PTA_THREAD_ANNOTATION_ATTRIBUTE(acquire_capability(__VA_ARGS__))
 
-/// Function acquires the capability shared.
-#define PTA_ACQUIRE_SHARED(...) \
-  PTA_THREAD_ANNOTATION_ATTRIBUTE(acquire_shared_capability(__VA_ARGS__))
-
 /// Function releases the (exclusively held) capability.
 #define PTA_RELEASE(...) \
   PTA_THREAD_ANNOTATION_ATTRIBUTE(release_capability(__VA_ARGS__))
-
-/// Function releases a shared hold of the capability.
-#define PTA_RELEASE_SHARED(...) \
-  PTA_THREAD_ANNOTATION_ATTRIBUTE(release_shared_capability(__VA_ARGS__))
-
-/// Function releases the capability whether held shared or exclusively
-/// (scoped-lock destructors that may guard either mode).
-#define PTA_RELEASE_GENERIC(...) \
-  PTA_THREAD_ANNOTATION_ATTRIBUTE(release_generic_capability(__VA_ARGS__))
 
 /// Function attempts the acquisition; first argument is the success value.
 #define PTA_TRY_ACQUIRE(...) \

@@ -389,7 +389,6 @@ TEST(ParallelReduceTest, RepeatedRunsAreDeterministic) {
   ASSERT_TRUE(sharded.ok());
   ParallelReduceOptions options;
   options.num_threads = 4;
-  options.budget_sample_fraction = 0.5;  // the sampler must be seeded too
   const size_t c = rel.CMin() + 30;
   auto first = ParallelReduceToSize(*sharded, c, options);
   ASSERT_TRUE(first.ok());
@@ -441,19 +440,6 @@ TEST(ParallelReduceTest, ErrorBoundedRespectsGlobalBudget) {
     EXPECT_LE(red->error, eps * emax + 1e-9);
     // pta-lint: allow(float-equality) -- eps is an exact loop literal
     if (eps == 0.0) ExpectExactlyEqual(red->relation, rel);
-  }
-}
-
-TEST(ParallelReduceTest, RejectsBadSampleFractionEvenWhenEstimationSkips) {
-  const SequentialRelation rel = RandomSequential(50, 1, 2, 0.0, 9);
-  // One shard skips the estimation pass; the contract must hold anyway.
-  auto sharded = ShardRelation(rel, 1);
-  ASSERT_TRUE(sharded.ok());
-  for (double fraction : {-1.0, 0.0, 5.0}) {
-    ParallelReduceOptions options;
-    options.budget_sample_fraction = fraction;
-    EXPECT_FALSE(ParallelReduceToSize(*sharded, rel.size(), options).ok());
-    EXPECT_FALSE(ParallelReduceToError(*sharded, 0.5, options).ok());
   }
 }
 

@@ -1,9 +1,10 @@
 // The serving layer (src/serve/): PtaServer dataset lifecycle, session
 // requests (sync, async, zoom ladders), byte-identity of concurrently
 // served cuts against the single-threaded GMS reducers, updates that
-// replace a dataset's owner (and carry its pin), warm starts, and
-// admission control / shedding.
-// Runs under TSan via scripts/ci.sh --tsan (label `serve`).
+// replace a dataset's owner (and carry its pin) while requests on the old
+// data finish on it, warm starts, and admission control / shedding.
+// Runs under TSan via scripts/ci.sh --tsan (label `serve`); the tests named
+// *WhileUpdat* also run 20 times over as serve_race_repeat_test.
 
 #include "serve/server.h"
 
@@ -316,11 +317,120 @@ TEST(PtaServerTest, UpdateDatasetLeavesOnlyTheNewIndexCached) {
   ASSERT_TRUE(server.UpdateDataset("seq", MakeSequential(3, 7.5)).ok());
   ASSERT_TRUE(session->Cut(Budget::Size(16)).ok());
 
-  // The old data's entry lapsed with its owner and went on the next miss.
+  // The old data's entry went with the update; the cut cached the new one.
   EXPECT_EQ(PtaIndexCacheSize(), 1u);
   auto fresh = PtaIndex::Build(MakeSequential(3, 7.5));
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(PtaIndexCacheBytes(), fresh->MemoryFootprint());
+  PtaIndexCacheClear();
+}
+
+TEST(PtaServerTest, UpdateDatasetFreesTheReplacedIndex) {
+  PtaIndexCacheClear();
+  PtaServer server;
+  ASSERT_TRUE(server.AddDataset("seq", MakeSequential(3)).ok());
+  auto session = server.OpenSession("seq", ItaSpec{});
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(session->Cut(Budget::Size(16)).ok());
+  ASSERT_EQ(PtaIndexCacheSize(), 1u);
+  ASSERT_TRUE(server.UpdateDataset("seq", MakeSequential(3, 7.5)).ok());
+
+  // No cut since the update: the old index went with the old data, not
+  // with some later miss.
+  EXPECT_EQ(PtaIndexCacheSize(), 0u);
+  EXPECT_EQ(PtaIndexCacheBytes(), 0u);
+  PtaIndexCacheClear();
+}
+
+// A cut that copied generation 0 parks inside its cold build; an update
+// publishes generation 1 meanwhile. Requests that start after the swap
+// must be served from generation 1 without waiting for the parked cut,
+// and the update must not return while a cut on generation 0 still runs.
+// Every wait is bounded, so a server that queues new cuts behind the
+// update fails here instead of hanging.
+TEST(PtaServerTest, NewDataIsServedWhileUpdateWaitsForAParkedCut) {
+  PtaIndexCacheClear();
+  PtaServer server;
+  ASSERT_TRUE(server.AddDataset("seq", MakeSequential(3)).ok());
+  auto session = server.OpenSession("seq", ItaSpec{});
+  // A second shape over the same dataset: its builds never coalesce with
+  // the parked one, so it can poll for the swap.
+  auto probe = server.OpenSession("seq", ItaSpec{}, {2.0});
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(probe.ok());
+  GreedyOptions probe_options;
+  probe_options.weights = {2.0};
+  auto old_gms = GmsReduceToSize(MakeSequential(3), 16);
+  auto new_gms = GmsReduceToSize(MakeSequential(3, 7.5), 16);
+  auto new_probe_gms =
+      GmsReduceToSize(MakeSequential(3, 7.5), 16, probe_options);
+  ASSERT_TRUE(old_gms.ok());
+  ASSERT_TRUE(new_gms.ok());
+  ASSERT_TRUE(new_probe_gms.ok());
+
+  constexpr auto kBound = std::chrono::seconds(30);
+  std::atomic<int> builds{0};
+  std::promise<void> parked;
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  internal::SetIndexCacheBuildHook([&builds, &parked, gate](uint64_t) {
+    if (builds.fetch_add(1) != 0) return;
+    parked.set_value();
+    gate.wait();
+  });
+
+  auto parked_cut = std::async(std::launch::async,
+                               [&] { return session->Cut(Budget::Size(16)); });
+  const bool is_parked =
+      parked.get_future().wait_for(kBound) == std::future_status::ready;
+  EXPECT_TRUE(is_parked);
+  auto update = std::async(std::launch::async, [&] {
+    return server.UpdateDataset("seq", MakeSequential(3, 7.5));
+  });
+  auto swapped = std::async(std::launch::async, [&] {
+    while (true) {
+      auto cut = probe->Cut(Budget::Size(16));
+      if (!cut.ok()) return false;
+      if (cut->relation.BitwiseEquals(new_probe_gms->relation)) return true;
+    }
+  });
+  const bool probe_done =
+      is_parked && swapped.wait_for(kBound) == std::future_status::ready;
+  EXPECT_TRUE(probe_done) << "no request saw the new data within 30 s";
+  // No ASSERT before the release below: returning early would leave the
+  // parked cut, and with it this test, waiting for ever.
+  std::future<Result<PtaResult>> fresh;
+  if (probe_done && swapped.get()) {
+    fresh = std::async(std::launch::async,
+                       [&] { return session->Cut(Budget::Size(16)); });
+    const bool fresh_done =
+        fresh.wait_for(kBound) == std::future_status::ready;
+    EXPECT_TRUE(fresh_done) << "the cut of the new data waited 30 s";
+    if (fresh_done) {
+      const auto served = fresh.get();
+      EXPECT_TRUE(served.ok()) << served.status().ToString();
+      if (served.ok()) {
+        ExpectByteIdentical(served->relation, new_gms->relation);
+        EXPECT_EQ(served->error, new_gms->error);
+      }
+    }
+    // The cut on generation 0 is still parked, so the update must wait.
+    EXPECT_NE(parked_cut.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_NE(update.wait_for(std::chrono::milliseconds(50)),
+              std::future_status::ready);
+  }
+
+  release.set_value();
+  const auto old_cut = parked_cut.get();
+  ASSERT_TRUE(old_cut.ok()) << old_cut.status().ToString();
+  ExpectByteIdentical(old_cut->relation, old_gms->relation);
+  EXPECT_EQ(old_cut->error, old_gms->error);
+  EXPECT_TRUE(update.get().ok());
+  internal::SetIndexCacheBuildHook(nullptr);
+  // Generation 0's indexes (the parked build's and the probe's) went with
+  // it; the two shapes over generation 1 remain.
+  EXPECT_EQ(PtaIndexCacheSize(), 2u);
   PtaIndexCacheClear();
 }
 
@@ -403,17 +513,14 @@ TEST(PtaServerTest, WarmStartOnATakenNameFailsAndSeedsNothing) {
   PtaIndexCacheClear();
 }
 
-// Regression for a lock-discipline hole the thread-safety annotation
-// rollout exposed (docs/STATIC_ANALYSIS.md): UpdateDataset used to read
-// the dataset's PTA_GUARDED_BY(mu) optionals — the temporal/sequential
-// kind check — BEFORE acquiring the writer lock, leaning on an
-// undocumented "engagement never changes" argument that the analysis
-// rightly rejects. The check now runs under the exclusive lock. This
-// hammers the exact interleaving: one thread swapping contents in place,
-// one thread probing with the WRONG input kind (the unlocked read path),
-// readers cutting throughout. TSan (scripts/ci.sh --tsan, label `serve`)
-// would flag a regression; the assertions pin the kind-check semantics.
-TEST(PtaServerTest, UpdateDatasetKindCheckHoldsWriterLock) {
+// The temporal/sequential kind check of UpdateDataset reads the dataset's
+// data pointers, which an update swaps. It runs under the dataset's mutex,
+// in the same critical section as the swap it guards. This hammers the
+// interleaving: one thread publishing new data, one probing with the
+// WRONG input kind, readers cutting snapshots throughout. TSan
+// (scripts/ci.sh --tsan, label `serve`) would flag an unguarded read; the
+// assertions pin the kind-check semantics.
+TEST(PtaServerTest, WrongKindUpdatesFailWhileUpdatesAndCutsRun) {
   PtaIndexCacheClear();
   PtaServer server;
   ASSERT_TRUE(server.AddDataset("seq", MakeSequential(3)).ok());
@@ -432,7 +539,7 @@ TEST(PtaServerTest, UpdateDatasetKindCheckHoldsWriterLock) {
   std::thread wrong_kind([&] {
     while (!stop) {
       // Must always fail InvalidArgument — never succeed, never race the
-      // in-place swap above.
+      // swap above.
       auto st = server.UpdateDataset("seq", MakeFleet());
       EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
     }
@@ -459,9 +566,9 @@ TEST(PtaServerTest, UpdateDatasetKindCheckHoldsWriterLock) {
 // Cut results share the served data's group keys (one reference-counted
 // vector), so dropping a result on a reader thread releases a reference
 // the writer's swap may be releasing at the same moment. Readers cut and
-// discard results while one thread updates a dataset in place and another
+// discard results while one thread updates a dataset and another
 // adds and drops a second one; TSan (label `serve`) checks the sharing and
-// the writer-preferring lock, and the final bytes must be the last swap's.
+// the snapshot swap, and the final bytes must be the last swap's.
 TEST(PtaServerTest, CutsDropResultsWhileUpdatesAndDropsRun) {
   PtaIndexCacheClear();
   PtaServer server;

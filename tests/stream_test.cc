@@ -302,7 +302,7 @@ TEST(StreamWatermarkTest, ReAnnouncingTheCurrentWatermarkIsIdempotent) {
             StatusCode::kInvalidArgument);
   // The sharded composition and the StreamingQuery handle inherit the
   // no-op semantics.
-  ShardedStreamingEngine sharded(1, options, ParallelOptions{2, 2, {}, 1.0, 42});
+  ShardedStreamingEngine sharded(1, options, ParallelOptions{2, 2, {}});
   ASSERT_TRUE(sharded.AdvanceWatermark(10).ok());
   EXPECT_TRUE(sharded.AdvanceWatermark(10).ok());
   EXPECT_FALSE(sharded.AdvanceWatermark(9).ok());

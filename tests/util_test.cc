@@ -1,15 +1,10 @@
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
-#include <future>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "util/mutex.h"
 #include "util/parallel_sort.h"
 #include "util/random.h"
 #include "util/stats.h"
@@ -127,83 +122,6 @@ TEST(TablePrinterTest, Formatters) {
 TEST(TablePrinterTest, RejectsMisshapenRows) {
   TablePrinter table({"A", "B"});
   EXPECT_DEATH(table.AddRow({"only one"}), "row width");
-}
-
-// ---- SharedMutex: writer preference --------------------------------------
-
-// R1 holds the lock shared and W queues for it exclusive. R2 asks for it
-// shared after W queued, so R2 must not get in before W has held and
-// released it — a reader-preferring lock lets R2 in at once. Only order is
-// asserted: the sleep gives R2 time to block, and a shorter one can only
-// make the test weaker, never flaky.
-TEST(SharedMutexTest, WaitingWriterBlocksLaterReaders) {
-  SharedMutex mu;
-  Mutex log_mu;
-  std::vector<std::string> log;
-  const auto note = [&](const char* event) {
-    MutexLock lock(&log_mu);
-    log.push_back(event);
-  };
-
-  mu.LockShared();  // R1
-  std::thread writer([&] {
-    mu.Lock();
-    note("W holds");
-    note("W releases");
-    mu.Unlock();
-  });
-  while (mu.waiting_writers() == 0) std::this_thread::yield();
-  std::atomic<bool> r2_asking{false};
-  std::thread reader([&] {
-    r2_asking = true;
-    mu.LockShared();
-    note("R2 holds");
-    mu.UnlockShared();
-  });
-  while (!r2_asking) std::this_thread::yield();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  note("R1 releases");
-  mu.UnlockShared();
-  writer.join();
-  reader.join();
-
-  MutexLock lock(&log_mu);
-  EXPECT_EQ(log, (std::vector<std::string>{"R1 releases", "W holds",
-                                           "W releases", "R2 holds"}));
-}
-
-// Four threads take the lock shared back to back, each hold overlapping
-// the next; a writer must still get in. The timeout is generous: it only
-// turns a starved writer into a failure instead of a hang.
-TEST(SharedMutexTest, OverlappingReadersDoNotStarveAWriter) {
-  SharedMutex mu;
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> reads{0};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&] {
-      while (!stop) {
-        ReaderMutexLock lock(&mu);
-        reads.fetch_add(1);
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-    });
-  }
-  while (reads.load() < 100) std::this_thread::yield();
-  std::promise<void> acquired;
-  std::thread writer([&] {
-    for (int i = 0; i < 20; ++i) {
-      WriterMutexLock lock(&mu);
-    }
-    acquired.set_value();
-  });
-  const auto status =
-      acquired.get_future().wait_for(std::chrono::seconds(60));
-  stop = true;
-  writer.join();
-  for (std::thread& reader : readers) reader.join();
-  EXPECT_EQ(status, std::future_status::ready)
-      << "20 writes did not get in within 60 s of back-to-back reads";
 }
 
 // ---- ParallelIntroSort ---------------------------------------------------
